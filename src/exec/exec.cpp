@@ -53,8 +53,12 @@ ExecContext::ExecContext(std::size_t threads)
     : pool_(std::make_unique<ThreadPool>(threads == 0 ? default_threads() : threads)) {}
 
 ExecContext& ExecContext::global() {
-  static ExecContext context;  // sized from GP_THREADS / hardware_concurrency
-  return context;
+  // Sized from GP_THREADS / hardware_concurrency. Never destroyed: joining
+  // the workers during static destruction let them run thread exit code
+  // against already-destroyed statics, intermittently aborting process exit
+  // with a double free.
+  static ExecContext* context = new ExecContext();
+  return *context;
 }
 
 std::size_t ExecContext::threads() const {

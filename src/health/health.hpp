@@ -40,8 +40,8 @@ namespace gp::health {
 ///   queue_wait     : shard drain began -> segment submitted to the batcher
 ///                    (includes featurization)
 ///   batch_wait     : batcher submit -> the flush that served it started
-///   forward        : the flush's fused model passes (shared by the batch)
-///   epilogue       : the rest of the flush (routing, margins, result fill)
+///   forward        : the flush's decide_batch call (shared by the batch)
+///   epilogue       : the rest of the flush (row staging, enroll gate, fill)
 enum class Stage {
   kAdmissionWait = 0,
   kQueueWait,

@@ -3,9 +3,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/math_utils.hpp"
-#include "gesidnet/trainer.hpp"
-#include "nn/loss.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -17,18 +14,6 @@ namespace {
 std::uint64_t sat_us(std::uint64_t later_ns, std::uint64_t earlier_ns) {
   if (earlier_ns == 0 || later_ns <= earlier_ns) return 0;
   return (later_ns - earlier_ns) / 1000;
-}
-
-/// Averages the softmax rows [begin, begin+rounds) of `probs` into the
-/// per-class posterior (the TTA average classify() computes), reusing `avg`.
-void average_rows_into(const nn::Tensor& probs, std::size_t begin, std::size_t rounds,
-                       std::size_t classes, std::vector<double>& avg) {
-  avg.assign(classes, 0.0);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t c = 0; c < classes; ++c) {
-      avg[c] += probs.at(begin + r, c) / static_cast<double>(rounds);
-    }
-  }
 }
 
 }  // namespace
@@ -90,7 +75,7 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
   const Clock::time_point start = Clock::now();
   const bool health_on = monitor_ != nullptr && monitor_->enabled();
   const std::uint64_t flush_start_ns = health_on ? monotonic_ns() : 0;
-  std::uint64_t forward_ns = 0;  ///< fused model passes (shared by the batch)
+  std::uint64_t forward_ns = 0;  ///< the decide_batch call (shared by the batch)
   std::vector<Entry>& batch = scratch_.entries;
   static obs::Histogram& batch_size_hist = obs::histogram("gp.serve.batch.size");
   batch_size_hist.observe(static_cast<double>(batch.size()));
@@ -107,9 +92,11 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
   delta.segments = batch.size();
 
   // Pass 0: typed dispositions that never touch a model. `live` keeps the
-  // batch indices that go through inference.
+  // batch indices that go on to decide_batch, `rows` their variants.
   std::vector<std::size_t>& live = scratch_.live;
   live.clear();
+  scratch_.counts.clear();
+  scratch_.rows.clear();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const PendingSegment& seg = *batch[i].segment;
     ServeResult& r = results[base + i];
@@ -126,11 +113,10 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
       r.abstained = true;
       ++delta.no_model;
       GP_COUNTER_ADD("gp.serve.no_model", 1);
-    } else if (seg.quality != SegmentQuality::kGood || seg.empty_cloud ||
-               seg.variant_count == 0) {
-      // The serve path always refuses segments that failed preprocessing
-      // guards (stricter than classify(), which only gates when the margin
-      // is armed): a streaming client is told *why* via quality_rejected.
+    } else if (refuse_segment(seg.empty_cloud || seg.variant_count == 0, seg.quality,
+                              /*refuse_degraded=*/true)) {
+      // Serve always refuses degraded segments (classify() only when the
+      // margin is armed): a streaming client is told *why*.
       r.gesture = kAbstain;
       r.user = kAbstain;
       r.abstained = true;
@@ -139,103 +125,25 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
       GP_COUNTER_ADD("gp.serve.rejected.quality", 1);
     } else {
       live.push_back(i);
+      scratch_.counts.push_back(seg.variant_count);
+      for (const auto& sample : seg.active_variants()) scratch_.rows.emplace_back() = sample;
     }
   }
 
   if (!live.empty()) {
     GesturePrintSystem& system = *snapshot->system;
-    const GesturePrintConfig& cfg = system.config();
-    const std::size_t num_gestures = system.num_gestures();
-    const std::size_t num_users = system.num_users();
-
-    // Gesture pass: every live segment's TTA variants in one forward. The
-    // row table copies into recycled slots (sample buffers keep capacity).
-    mem::SlotVector<FeaturizedSample>& rows = scratch_.rows;
-    std::vector<std::size_t>& row_begin = scratch_.row_begin;
-    rows.clear();
-    row_begin.clear();
-    for (const std::size_t i : live) {
-      row_begin.push_back(rows.size());
-      for (const FeaturizedSample& sample : batch[i].segment->active_variants()) {
-        rows.emplace_back() = sample;
-      }
-    }
-    {
-      const std::uint64_t f0 = health_on ? monotonic_ns() : 0;
-      predict_logits_into(system.gesture_model(), rows.span(), scratch_.gesture_logits);
-      nn::softmax_into(scratch_.gesture_logits, scratch_.gesture_probs);
-      if (health_on) forward_ns += monotonic_ns() - f0;
-    }
-    const nn::Tensor& gesture_probs = scratch_.gesture_probs;
-
-    // Per-segment averaged posterior → gesture + margin gate; group the
-    // survivors by the user-ID model they route to. Routing lists are
-    // recycled vectors indexed by model — iterated in ascending model index,
-    // the same order the std::map-based grouping produced.
-    const std::size_t route_count =
-        cfg.mode == IdentificationMode::kParallel ? 1 : num_gestures;
-    std::vector<std::vector<std::size_t>>& by_model = scratch_.by_model;
-    if (by_model.size() < route_count) by_model.resize(route_count);
-    for (auto& members : by_model) members.clear();
+    const std::uint64_t f0 = health_on ? monotonic_ns() : 0;
+    decide_batch(system, scratch_.rows.span(), scratch_.counts, system.config().abstain_margin,
+                 scratch_.decide, scratch_.decisions);
+    if (health_on) forward_ns += monotonic_ns() - f0;
     for (std::size_t k = 0; k < live.size(); ++k) {
-      const PendingSegment& seg = *batch[live[k]].segment;
+      const InferenceResult& d = scratch_.decisions[k];
       ServeResult& r = results[base + live[k]];
-      average_rows_into(gesture_probs, row_begin[k], seg.variant_count, num_gestures,
-                        scratch_.avg);
-      r.gesture = static_cast<int>(argmax(scratch_.avg));
-      r.gesture_margin = top2_margin(scratch_.avg);
-      if (should_abstain(scratch_.avg, cfg.abstain_margin)) {
-        // Ambiguous gesture ⇒ serialized routing would pick the wrong ID
-        // model; abstain on both heads (same policy as classify()).
-        r.gesture = kAbstain;
-        r.user = kAbstain;
-        r.abstained = true;
-        continue;
-      }
-      const std::size_t route = cfg.mode == IdentificationMode::kParallel
-                                    ? 0
-                                    : static_cast<std::size_t>(r.gesture);
-      if (route < route_count && system.user_model(route) != nullptr) {
-        by_model[route].push_back(k);
-      }
-    }
-
-    // User-ID passes: one batched forward per routed model, ascending model
-    // index (deterministic; results are row-local so grouping order cannot
-    // change any segment's answer).
-    for (std::size_t model_idx = 0; model_idx < route_count; ++model_idx) {
-      const std::vector<std::size_t>& members = by_model[model_idx];
-      if (members.empty()) continue;
-      mem::SlotVector<FeaturizedSample>& group_rows = scratch_.group_rows;
-      std::vector<std::size_t>& group_begin = scratch_.group_begin;
-      group_rows.clear();
-      group_begin.clear();
-      for (const std::size_t k : members) {
-        group_begin.push_back(group_rows.size());
-        for (const FeaturizedSample& sample : batch[live[k]].segment->active_variants()) {
-          group_rows.emplace_back() = sample;
-        }
-      }
-      {
-        const std::uint64_t f0 = health_on ? monotonic_ns() : 0;
-        predict_logits_into(*system.user_model(model_idx), group_rows.span(),
-                            scratch_.user_logits);
-        nn::softmax_into(scratch_.user_logits, scratch_.user_probs);
-        if (health_on) forward_ns += monotonic_ns() - f0;
-      }
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        const std::size_t k = members[m];
-        const PendingSegment& seg = *batch[live[k]].segment;
-        ServeResult& r = results[base + live[k]];
-        average_rows_into(scratch_.user_probs, group_begin[m], seg.variant_count, num_users,
-                          scratch_.avg);
-        r.user = static_cast<int>(argmax(scratch_.avg));
-        r.user_margin = top2_margin(scratch_.avg);
-        if (should_abstain(scratch_.avg, cfg.abstain_margin)) {
-          r.user = kAbstain;
-          r.abstained = true;
-        }
-      }
+      r.gesture = d.gesture;
+      r.user = d.user;
+      r.abstained = d.abstained;
+      r.gesture_margin = d.gesture_margin;
+      r.user_margin = d.user_probabilities.empty() ? 0.0 : d.user_margin;  // 0: no ID model ran
     }
   }
 

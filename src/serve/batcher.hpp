@@ -3,12 +3,13 @@
 // Completed featurized segments from *all* sessions accumulate in one FIFO.
 // A flush happens when (a) the FIFO reaches batch_max segments, (b) the
 // oldest pending segment has waited batch_wait_us of wall-clock time, or
-// (c) the caller forces one (stream drain). Each flush runs the batch
-// through the registry's current ModelSnapshot: one batched gesture-model
-// predict_logits over every variant row, then one batched pass per routed
-// user-ID model — so the per-forward fixed costs are amortised across
-// sessions, and (with the snapshot's fused layers) the whole batch rides the
-// inference-only fast path.
+// (c) the caller forces one (stream drain). Each flush answers the batch
+// with the registry's current ModelSnapshot through decide_batch(), the
+// decision path classify() runs as a batch of one: one gesture forward over
+// every variant row, one per routed user-ID model, amortised across
+// sessions. Only serve-specific steps stay here: the no-model refusal, the
+// quality gate (serve always refuses degraded segments; classify() only
+// when the margin is armed), the enrollment gate, stats and health timing.
 //
 // Correctness under batching: the inference stack is per-sample
 // batch-composition independent (inference-mode BN uses running stats;
@@ -19,9 +20,8 @@
 // mid-flush.
 //
 // Memory model (DESIGN.md §9): the FIFO is a head-indexed vector ring of
-// pooled SegmentPtr handles, and every flush reuses one BatchScratch —
-// row tables, routing lists, logits/probs tensors — owned by the (single)
-// pump thread. A poll that flushes nothing performs no heap allocation.
+// pooled SegmentPtr handles, and every flush reuses one BatchScratch owned
+// by the (single) pump thread. A poll that flushes nothing allocates nothing.
 #pragma once
 
 #include <chrono>
@@ -102,18 +102,12 @@ class MicroBatcher {
   Stats stats_;  ///< guarded by mu_
   /// Flush working set, reused across batches (pump thread only).
   struct BatchScratch {
-    std::vector<Entry> entries;                     ///< the staged batch
-    std::vector<std::size_t> live;                  ///< indices going to inference
-    std::vector<std::size_t> row_begin;             ///< per-live first variant row
-    mem::SlotVector<FeaturizedSample> rows;         ///< gesture-pass row table
-    std::vector<std::vector<std::size_t>> by_model; ///< user-model routing lists
-    std::vector<std::size_t> group_begin;           ///< per-member first row
-    mem::SlotVector<FeaturizedSample> group_rows;   ///< user-pass row table
-    std::vector<double> avg;                        ///< TTA-averaged posterior
-    nn::Tensor gesture_logits;
-    nn::Tensor gesture_probs;
-    nn::Tensor user_logits;
-    nn::Tensor user_probs;
+    std::vector<Entry> entries;                  ///< the staged batch
+    std::vector<std::size_t> live;               ///< indices going to inference
+    std::vector<std::size_t> counts;             ///< per-live TTA variant count
+    mem::SlotVector<FeaturizedSample> rows;      ///< live variants, back to back
+    DecisionScratch decide;                      ///< decide_batch working set
+    mem::SlotVector<InferenceResult> decisions;  ///< per-live answers
   };
   BatchScratch scratch_;
 };

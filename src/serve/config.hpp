@@ -137,7 +137,7 @@ struct ServeResult {
   std::uint64_t request_id = 0;
   int gesture = -1;                   ///< class id, or kAbstain
   int user = -1;                      ///< class id, or kAbstain
-  bool abstained = false;             ///< margin gate fired
+  bool abstained = false;             ///< a margin gate fired or a refusal (any kind)
   bool quality_rejected = false;      ///< segment failed preprocessing guards
   /// Open-set novelty gate fired (GP_ENROLL only): the biometric descriptor
   /// was too far from every enrolled gallery sample, so the user answer was

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -58,6 +59,10 @@ double top2_margin(const std::vector<double>& probabilities) {
 bool should_abstain(const std::vector<double>& probabilities, double margin) {
   if (margin <= 0.0) return false;
   return top2_margin(probabilities) < margin;
+}
+
+bool refuse_segment(bool empty, SegmentQuality quality, bool refuse_degraded) {
+  return empty || (refuse_degraded && quality != SegmentQuality::kGood);
 }
 
 GesturePrintSystem::GesturePrintSystem(GesturePrintConfig config)
@@ -171,7 +176,12 @@ void GesturePrintSystem::fine_tune(const Dataset& dataset,
         prepare_subset(dataset, indices, LabelKind::kGesture, config_.prep, prep_rng);
     train_classifier(*gesture_model_, adapt, tc);
   }
+  adapt_user_models(dataset, indices, tc);
+}
 
+void GesturePrintSystem::adapt_user_models(const Dataset& dataset,
+                                           std::span<const std::size_t> indices,
+                                           const TrainConfig& tc) {
   if (config_.mode == IdentificationMode::kParallel) {
     Rng prep_rng = rng_.fork();
     const LabeledSamples adapt =
@@ -180,7 +190,8 @@ void GesturePrintSystem::fine_tune(const Dataset& dataset,
     return;
   }
   for (std::size_t g = 0; g < num_gestures_; ++g) {
-    if (user_models_[g] == nullptr) continue;
+    GesIDNet* model = user_model(g);
+    if (model == nullptr) continue;
     std::vector<std::size_t> gesture_indices;
     for (std::size_t idx : indices) {
       if (dataset.samples[idx].gesture == static_cast<int>(g)) gesture_indices.push_back(idx);
@@ -190,7 +201,7 @@ void GesturePrintSystem::fine_tune(const Dataset& dataset,
     Rng prep_rng = rng_.fork();
     const LabeledSamples adapt = prepare_subset(dataset, gesture_indices, LabelKind::kUser,
                                                 config_.prep, prep_rng);
-    train_classifier(*user_models_[g], adapt, tc);
+    train_classifier(*model, adapt, tc);
   }
 }
 
@@ -222,27 +233,7 @@ void GesturePrintSystem::fine_tune_user_heads(const Dataset& dataset,
   tc.lr = lr;
   tc.seed = rng_();
   tc.head_only = true;  // frozen trunk: the whole point of the enroll path
-
-  if (config_.mode == IdentificationMode::kParallel) {
-    Rng prep_rng = rng_.fork();
-    const LabeledSamples adapt =
-        prepare_subset(dataset, indices, LabelKind::kUser, config_.prep, prep_rng);
-    train_classifier(*user_models_.front(), adapt, tc);
-    return;
-  }
-  for (std::size_t g = 0; g < num_gestures_; ++g) {
-    if (g >= user_models_.size() || user_models_[g] == nullptr) continue;
-    std::vector<std::size_t> gesture_indices;
-    for (std::size_t idx : indices) {
-      if (dataset.samples[idx].gesture == static_cast<int>(g)) gesture_indices.push_back(idx);
-    }
-    // Per-gesture adaptation needs at least a minibatch worth of samples.
-    if (gesture_indices.size() < 4) continue;
-    Rng prep_rng = rng_.fork();
-    const LabeledSamples adapt = prepare_subset(dataset, gesture_indices, LabelKind::kUser,
-                                                config_.prep, prep_rng);
-    train_classifier(*user_models_[g], adapt, tc);
-  }
+  adapt_user_models(dataset, indices, tc);
 }
 
 void GesturePrintSystem::fuse_for_inference(nn::QuantMode mode) {
@@ -385,14 +376,13 @@ InferenceResult GesturePrintSystem::classify(const GestureCloud& cloud) {
   GP_SPAN("system.classify");
   GP_COUNTER_ADD("gp.system.classifications", 1);
   check(fitted(), "classify before fit");
-  const std::size_t rounds = std::max<std::size_t>(1, config_.eval_rounds);
 
-  // Quality gate (graceful degradation, DESIGN.md §7): when the abstention
-  // gate is armed, a cloud that failed its preprocessing guards is refused
-  // outright rather than resampled into garbage. With the gate disabled
-  // (abstain_margin == 0) behaviour is bitwise-identical to older builds.
-  if (config_.abstain_margin > 0.0 &&
-      (cloud.points.empty() || cloud.quality != SegmentQuality::kGood)) {
+  // Quality gate (graceful degradation, DESIGN.md §7), before any rng_
+  // draw. Degraded clouds are refused only when the abstention gate is
+  // armed, so at abstain_margin == 0 answers are bitwise those of older
+  // builds; an empty cloud has nothing to featurize and is always refused.
+  if (refuse_segment(cloud.points.empty(), cloud.quality,
+                     /*refuse_degraded=*/config_.abstain_margin > 0.0)) {
     GP_COUNTER_ADD("gp.system.abstained.quality", 1);
     InferenceResult refused;
     refused.gesture = kAbstain;
@@ -403,97 +393,113 @@ InferenceResult GesturePrintSystem::classify(const GestureCloud& cloud) {
     return refused;
   }
 
-  // Featurize `rounds` stochastic resamplings of the cloud once; average
-  // posteriors over them (test-time augmentation).
+  // Featurize `rounds` stochastic resamplings of the cloud (test-time
+  // augmentation) and decide them as a batch of one segment.
+  const std::size_t rounds = std::max<std::size_t>(1, config_.eval_rounds);
   std::vector<FeaturizedSample> variants;
   variants.reserve(rounds);
   for (std::size_t r = 0; r < rounds; ++r) {
     Rng feat_rng = rng_.fork();
     variants.push_back(featurize(cloud, config_.prep.features, feat_rng));
   }
-
-  InferenceResult result;
-  result.gesture_probabilities.assign(num_gestures_, 0.0);
-  {
-    const nn::Tensor probs = nn::softmax(predict_logits(*gesture_model_, variants));
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (std::size_t c = 0; c < num_gestures_; ++c) {
-        result.gesture_probabilities[c] += probs.at(r, c) / static_cast<double>(rounds);
-      }
-    }
-  }
-  result.gesture = static_cast<int>(argmax(result.gesture_probabilities));
-  result.gesture_margin = top2_margin(result.gesture_probabilities);
-
-  // Confidence gate on the gesture head: an ambiguous posterior means the
-  // capture degraded past what the model can disambiguate. Abstaining here
-  // also skips user ID — serialized mode would route to the *wrong* ID
-  // model, which is worse than no answer.
-  if (should_abstain(result.gesture_probabilities, config_.abstain_margin)) {
-    GP_COUNTER_ADD("gp.system.abstained.gesture", 1);
-    result.gesture = kAbstain;
-    result.user = kAbstain;
-    result.abstained = true;
-    return result;
-  }
-
-  GesIDNet* id_model = nullptr;
-  if (config_.mode == IdentificationMode::kParallel) {
-    id_model = user_models_.front().get();
-  } else if (result.gesture >= 0 &&
-             static_cast<std::size_t>(result.gesture) < user_models_.size()) {
-    id_model = user_models_[static_cast<std::size_t>(result.gesture)].get();
-  }
-  if (id_model != nullptr) {
-    result.user_probabilities.assign(num_users_, 0.0);
-    const nn::Tensor probs = nn::softmax(predict_logits(*id_model, variants));
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (std::size_t c = 0; c < num_users_; ++c) {
-        result.user_probabilities[c] += probs.at(r, c) / static_cast<double>(rounds);
-      }
-    }
-    result.user = static_cast<int>(argmax(result.user_probabilities));
-    result.user_margin = top2_margin(result.user_probabilities);
-    if (should_abstain(result.user_probabilities, config_.abstain_margin)) {
-      GP_COUNTER_ADD("gp.system.abstained.user", 1);
-      result.user = kAbstain;
-      result.abstained = true;
-    }
-  }
-  return result;
+  DecisionScratch scratch;
+  mem::SlotVector<InferenceResult> decisions;
+  decide_batch(*this, variants, {&rounds, 1}, config_.abstain_margin, scratch, decisions);
+  InferenceResult& result = decisions[0];
+  if (result.gesture == kAbstain) GP_COUNTER_ADD("gp.system.abstained.gesture", 1);
+  else if (result.user == kAbstain) GP_COUNTER_ADD("gp.system.abstained.user", 1);
+  return std::move(result);
 }
 
-GesturePrintSystem::EmbeddingResult GesturePrintSystem::id_embedding(const GestureCloud& cloud) {
-  check(fitted(), "id_embedding before fit");
-  Rng feat_rng = rng_.fork();
-  std::vector<FeaturizedSample> one;
-  one.push_back(featurize(cloud, config_.prep.features, feat_rng));
+namespace {
 
-  EmbeddingResult result;
-  result.gesture = argmax_labels(predict_logits(*gesture_model_, one))[0];
-
-  GesIDNet* id_model = nullptr;
-  if (config_.mode == IdentificationMode::kParallel) {
-    id_model = user_models_.front().get();
-  } else if (result.gesture >= 0 &&
-             static_cast<std::size_t>(result.gesture) < user_models_.size() &&
-             user_models_[static_cast<std::size_t>(result.gesture)] != nullptr) {
-    id_model = user_models_[static_cast<std::size_t>(result.gesture)].get();
-  }
-  if (id_model == nullptr) {
-    for (auto& m : user_models_) {
-      if (m != nullptr) {
-        id_model = m.get();
-        break;
-      }
+/// One head of one segment: the TTA average of softmax rows
+/// [begin, begin + count) of `probs` into `posterior` (double, rounds in
+/// order), its argmax and top-2 margin. Returns whether the margin gate fires.
+bool decide_head(const nn::Tensor& probs, std::size_t begin, std::size_t count, double margin,
+                 std::vector<double>& posterior, int& label, double& top2) {
+  posterior.assign(probs.cols(), 0.0);
+  for (std::size_t r = 0; r < count; ++r) {
+    for (std::size_t c = 0; c < probs.cols(); ++c) {
+      posterior[c] += probs.at(begin + r, c) / static_cast<double>(count);
     }
   }
-  check(id_model != nullptr, "no user model available");
+  label = static_cast<int>(argmax(posterior));
+  top2 = top2_margin(posterior);
+  return should_abstain(posterior, margin);
+}
 
-  const GesIDNet::Features features = id_model->extract_features(make_batch(one, 0, 1));
-  result.embedding.assign(features.fused_low.row(0),
-                          features.fused_low.row(0) + features.fused_low.cols());
-  return result;
+}  // namespace
+
+void decide_batch(GesturePrintSystem& system, std::span<const FeaturizedSample> rows,
+                  std::span<const std::size_t> variant_counts, double margin,
+                  DecisionScratch& scratch, mem::SlotVector<InferenceResult>& out) {
+  const std::size_t n = variant_counts.size();
+  out.clear();
+  std::vector<std::size_t>& row_begin = scratch.row_begin;
+  row_begin.resize(n);
+  std::exclusive_scan(variant_counts.begin(), variant_counts.end(), row_begin.begin(),
+                      std::size_t{0});
+  check_arg(n > 0 && row_begin.back() + variant_counts.back() == rows.size(),
+            "decide_batch row count mismatch");
+
+  // Gesture pass: every segment's TTA variants in one forward.
+  predict_logits_into(system.gesture_model(), rows, scratch.logits);
+  nn::softmax_into(scratch.logits, scratch.probs);
+
+  // Per segment: gesture answer and gate, then route the survivors. An
+  // ambiguous gesture abstains on both heads — serialized routing would
+  // pick the wrong ID model.
+  const bool parallel = system.config().mode == IdentificationMode::kParallel;
+  const std::size_t route_count = parallel ? 1 : system.num_gestures();
+  std::vector<std::vector<std::size_t>>& by_model = scratch.by_model;
+  if (by_model.size() < route_count) by_model.resize(route_count);
+  for (auto& members : by_model) members.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    InferenceResult& d = out.emplace_back();
+    d.abstained = decide_head(scratch.probs, row_begin[k], variant_counts[k], margin,
+                              d.gesture_probabilities, d.gesture, d.gesture_margin);
+    d.user = d.abstained ? kAbstain : -1;
+    d.user_margin = 1.0;  // no ID model ran
+    d.user_probabilities.clear();
+    if (d.abstained) {
+      d.gesture = kAbstain;
+      continue;
+    }
+    const std::size_t route = parallel ? 0 : static_cast<std::size_t>(d.gesture);
+    if (route < route_count && system.user_model(route) != nullptr) {
+      by_model[route].push_back(k);
+    }
+  }
+
+  // User-ID passes: one forward per routed model, ascending model index.
+  for (std::size_t model_idx = 0; model_idx < route_count; ++model_idx) {
+    const std::vector<std::size_t>& members = by_model[model_idx];
+    if (members.empty()) continue;
+    // A model every segment routes to reads the gesture pass's rows as is.
+    std::span<const FeaturizedSample> user_rows = rows;
+    if (members.size() < n) {
+      scratch.group_rows.clear();
+      for (const std::size_t k : members) {
+        for (const auto& sample : rows.subspan(row_begin[k], variant_counts[k])) {
+          scratch.group_rows.emplace_back() = sample;
+        }
+      }
+      user_rows = scratch.group_rows.span();
+    }
+    predict_logits_into(*system.user_model(model_idx), user_rows, scratch.logits);
+    nn::softmax_into(scratch.logits, scratch.probs);
+    std::size_t begin = 0;
+    for (const std::size_t k : members) {
+      InferenceResult& d = out[k];
+      if (decide_head(scratch.probs, begin, variant_counts[k], margin, d.user_probabilities,
+                      d.user, d.user_margin)) {
+        d.user = kAbstain;
+        d.abstained = true;
+      }
+      begin += variant_counts[k];
+    }
+  }
 }
 
 SystemEvaluation GesturePrintSystem::evaluate(const Dataset& dataset,

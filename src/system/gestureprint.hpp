@@ -9,9 +9,9 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 
+#include "common/mem.hpp"
 #include "datasets/prep.hpp"
 #include "eval/metrics.hpp"
 #include "eval/roc.hpp"
@@ -35,6 +35,11 @@ double top2_margin(const std::vector<double>& probabilities);
 /// `margin` (a non-positive margin disables the gate). Monotone in
 /// `margin`: raising it can only turn answers into abstentions.
 bool should_abstain(const std::vector<double>& probabilities, double margin);
+
+/// The quality gate (DESIGN.md §7.2), checked before featurization: refuses
+/// an empty segment, and a degraded one (not kGood) when `refuse_degraded`.
+/// Serve always sets it; classify() only when the margin gate is armed.
+bool refuse_segment(bool empty, SegmentQuality quality, bool refuse_degraded);
 
 struct GesturePrintConfig {
   GesIDNetConfig network;          ///< num_classes is set per model internally
@@ -123,17 +128,9 @@ class GesturePrintSystem {
   /// failure.
   bool try_load(const std::string& path);
 
-  /// Classifies one preprocessed gesture cloud (runtime path).
+  /// Classifies one preprocessed gesture cloud (runtime path): the quality
+  /// gate, then `eval_rounds` featurizations through decide_batch().
   InferenceResult classify(const GestureCloud& cloud);
-
-  /// The fused identification embedding of a cloud (the Y^l1 feature of the
-  /// ID model the recognised gesture routes to), plus the recognised
-  /// gesture. Open-set rejection scores novelty in this space.
-  struct EmbeddingResult {
-    int gesture = -1;
-    std::vector<float> embedding;
-  };
-  EmbeddingResult id_embedding(const GestureCloud& cloud);
 
   /// Batch evaluation over the selected test samples.
   SystemEvaluation evaluate(const Dataset& dataset, std::span<const std::size_t> test_indices);
@@ -168,6 +165,10 @@ class GesturePrintSystem {
 
  private:
   SystemEvaluation evaluate_samples(const std::vector<const GestureSample*>& samples);
+  /// fine_tune tail: trains each user-ID model on its share of `indices`,
+  /// one rng_ fork per trained model, in model order.
+  void adapt_user_models(const Dataset& dataset, std::span<const std::size_t> indices,
+                         const TrainConfig& tc);
 
   GesturePrintConfig config_;
   std::size_t num_gestures_ = 0;
@@ -177,5 +178,26 @@ class GesturePrintSystem {
   /// Serialized mode: index = gesture id; parallel mode: single entry.
   std::vector<std::unique_ptr<GesIDNet>> user_models_;
 };
+
+/// Working set of decide_batch(), reused across calls (keeps capacity).
+struct DecisionScratch {
+  std::vector<std::size_t> row_begin;              ///< first row per segment
+  std::vector<std::vector<std::size_t>> by_model;  ///< routed segments per ID model
+  mem::SlotVector<FeaturizedSample> group_rows;    ///< user-pass row table
+  nn::Tensor logits;
+  nn::Tensor probs;
+};
+
+/// The runtime decision path (Fig. 4, §IV-C) of classify() (a batch of one)
+/// and the serve batcher. `rows` holds N segments' TTA variants back to
+/// back, `variant_counts[k]` ≥ 1 for segment k. One gesture forward, a
+/// double TTA average + margin gate per segment, routing (parallel → model
+/// 0, serialized → model `gesture`, none if null), one forward per routed
+/// user model in ascending index, the same gate on the user head. Answers
+/// do not depend on batch composition. `out` gets N answers in recycled
+/// slots, so their probability buffers keep capacity across calls.
+void decide_batch(GesturePrintSystem& system, std::span<const FeaturizedSample> rows,
+                  std::span<const std::size_t> variant_counts, double margin,
+                  DecisionScratch& scratch, mem::SlotVector<InferenceResult>& out);
 
 }  // namespace gp

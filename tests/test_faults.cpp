@@ -332,6 +332,65 @@ TEST(AbstentionGate, MarginIsMonotone) {
   EXPECT_DOUBLE_EQ(top2_margin({1.0}), 1.0);
 }
 
+// classify() at the default margin 0 refuses an empty cloud the way serve
+// does — a typed kAbstain, no throw, and no featurization RNG draw — while a
+// degraded but non-empty cloud still gets an answer (serve refuses it: the
+// one intended policy difference between the two callers).
+TEST(AbstentionGate, ClassifyRefusesEmptyCloudAtMarginZero) {
+  DatasetScale scale;
+  scale.max_users = 2;
+  scale.reps = 3;
+  DatasetSpec spec = gestureprint_spec(1, scale);
+  spec.gestures.resize(2);
+  const Dataset dataset = generate_dataset(spec);
+  GesturePrintConfig config;
+  config.training.epochs = 1;
+  config.training.batch_size = 8;
+  config.prep.augmentation.copies = 1;
+  config.abstain_margin = 0.0;
+  std::vector<std::size_t> all(dataset.samples.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  GesturePrintSystem trained(config);
+  trained.fit(dataset, all);
+  const std::string path = testing::TempDir() + "gp_faults_empty_cloud.gpsy";
+  trained.save(path);
+
+  GesturePrintSystem system(config);
+  GesturePrintSystem twin(config);  // never sees the empty cloud
+  ASSERT_TRUE(system.try_load(path));
+  ASSERT_TRUE(twin.try_load(path));
+  ASSERT_EQ(system.config().abstain_margin, 0.0);
+
+  InferenceResult refused;
+  ASSERT_NO_THROW(refused = system.classify(GestureCloud{}));
+  EXPECT_EQ(refused.gesture, kAbstain);
+  EXPECT_EQ(refused.user, kAbstain);
+  EXPECT_TRUE(refused.abstained);
+  EXPECT_EQ(refused.gesture_margin, 0.0);
+  EXPECT_EQ(refused.user_margin, 0.0);
+  EXPECT_TRUE(refused.gesture_probabilities.empty());
+
+  // The refusal drew nothing from the system RNG: the next answer matches
+  // the twin's bitwise.
+  GestureCloud brief = dataset.samples[0].cloud;
+  ASSERT_FALSE(brief.points.empty());
+  brief.quality = SegmentQuality::kTooShort;
+  const InferenceResult answered = system.classify(brief);
+  const InferenceResult reference = twin.classify(brief);
+  EXPECT_GE(answered.gesture, 0);
+  EXPECT_FALSE(answered.abstained);
+  EXPECT_EQ(answered.gesture, reference.gesture);
+  EXPECT_EQ(answered.user, reference.user);
+  EXPECT_EQ(answered.gesture_probabilities, reference.gesture_probabilities);
+  EXPECT_EQ(answered.user_probabilities, reference.user_probabilities);
+
+  // The policy bool: serve (true) refuses that degraded cloud, classify() at
+  // margin 0 (false) does not; an empty segment is refused either way.
+  EXPECT_TRUE(refuse_segment(false, SegmentQuality::kTooShort, true));
+  EXPECT_FALSE(refuse_segment(false, SegmentQuality::kTooShort, false));
+  EXPECT_TRUE(refuse_segment(true, SegmentQuality::kGood, false));
+}
+
 // ---- gap-aware segmentation -----------------------------------------------
 
 /// Builds a frame with `count` points at y=1 m (above any static threshold

@@ -1,8 +1,9 @@
 // gp::serve tests (DESIGN.md §8): per-session determinism across thread and
 // shard counts, micro-batch composition independence, typed overload
 // shedding with bounded queues, deadline stale drops, RCU hot-swap audit,
-// fused-vs-unfused inference equivalence, and a GP_FAULTS-style soak with
-// zero uncaught exceptions.
+// fused-vs-unfused inference equivalence, a GP_FAULTS-style soak with zero
+// uncaught exceptions, and the shared decision path (decide_batch) deciding
+// a batch of many exactly as batches of one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
 #include "exec/exec.hpp"
@@ -430,6 +432,149 @@ TEST(Serve, ConcurrentPushersUnderPump) {
   const serve::SessionManager::Stats stats = server.session_stats();
   EXPECT_GT(stats.frames_accepted, 0u);
   EXPECT_EQ(server.batch_stats().segments, results.size());
+}
+
+// ---- the shared decision path (decide_batch) -------------------------------
+
+/// One trained + saved system per identification mode for the decide_batch
+/// battery. The serialized one is fitted without gesture 2 and then
+/// fine-tuned on every gesture: the gesture model learns gesture 2 but it
+/// keeps no user-ID model, so the null route is reachable.
+struct DecisionWorld {
+  std::string model_path[2];  ///< [serialized, parallel]
+  std::vector<FeaturizedSample> rows;
+  std::vector<std::size_t> counts;  ///< 1..3 TTA variants per segment
+};
+
+GesturePrintConfig decision_config(IdentificationMode mode) {
+  GesturePrintConfig config = world().config;
+  config.mode = mode;
+  config.training.epochs = 3;
+  return config;
+}
+
+const DecisionWorld& decision_world() {
+  static const DecisionWorld* w = [] {
+    auto* out = new DecisionWorld();
+    const Dataset dataset = generate_dataset(world().spec);
+    Rng split_rng(5, 1);
+    const Split split = stratified_split(dataset.gesture_labels(), 0.3, split_rng);
+    std::vector<std::size_t> without_2;
+    for (const std::size_t i : split.train) {
+      if (dataset.samples[i].gesture != 2) without_2.push_back(i);
+    }
+    for (const IdentificationMode mode :
+         {IdentificationMode::kSerialized, IdentificationMode::kParallel}) {
+      const bool serialized = mode == IdentificationMode::kSerialized;
+      GesturePrintSystem system(decision_config(mode));
+      if (serialized) {
+        system.fit(dataset, without_2);
+        system.fine_tune(dataset, split.train, 3, 2e-3);
+      } else {
+        system.fit(dataset, split.train);
+      }
+      const std::string path =
+          testing::TempDir() + (serialized ? "gp_decide_ser.gpsy" : "gp_decide_par.gpsy");
+      system.save(path);
+      out->model_path[serialized ? 0 : 1] = path;
+    }
+    for (std::size_t k = 0; k < split.test.size(); ++k) {
+      out->counts.push_back(1 + k % 3);
+      for (std::size_t r = 0; r < out->counts.back(); ++r) {
+        Rng rng = exec::child_rng(0xDEC1DEu + k, r);
+        out->rows.push_back(
+            featurize(dataset.samples[split.test[k]].cloud, world().config.prep.features, rng));
+      }
+    }
+    return out;
+  }();
+  return *w;
+}
+
+std::vector<InferenceResult> decide(GesturePrintSystem& system,
+                                    std::span<const FeaturizedSample> rows,
+                                    std::span<const std::size_t> counts, double margin) {
+  DecisionScratch scratch;
+  mem::SlotVector<InferenceResult> out;
+  decide_batch(system, rows, counts, margin, scratch, out);
+  return {out.begin(), out.end()};
+}
+
+/// A margin that, on the margin-0 decisions `open`, fires the gesture gate
+/// on some segment, the user gate on another, and (when `need_null_route`)
+/// leaves a null-routed segment answered. Returns 0 when none exists.
+double pick_margin(const std::vector<InferenceResult>& open, bool need_null_route) {
+  std::vector<double> candidates;
+  for (const InferenceResult& d : open) {
+    candidates.push_back(d.gesture_margin);
+    candidates.push_back(d.user_margin);
+  }
+  std::sort(candidates.begin(), candidates.end());
+  for (const double m : candidates) {
+    bool gesture_gate = false, user_gate = false, null_route = !need_null_route;
+    for (const InferenceResult& d : open) {
+      if (d.gesture_margin < m) {
+        gesture_gate = true;
+      } else if (d.user_probabilities.empty()) {
+        null_route = true;
+      } else if (d.user_margin < m) {
+        user_gate = true;
+      }
+    }
+    if (gesture_gate && user_gate && null_route) return m;
+  }
+  return 0.0;
+}
+
+void expect_bitwise_equal(const InferenceResult& a, const InferenceResult& b) {
+  EXPECT_EQ(a.gesture, b.gesture);
+  EXPECT_EQ(a.user, b.user);
+  EXPECT_EQ(a.abstained, b.abstained);
+  EXPECT_EQ(a.gesture_margin, b.gesture_margin);  // bitwise doubles
+  EXPECT_EQ(a.user_margin, b.user_margin);
+  EXPECT_EQ(a.gesture_probabilities, b.gesture_probabilities);
+  EXPECT_EQ(a.user_probabilities, b.user_probabilities);
+}
+
+// classify() (a batch of one) and the serve batcher (a batch of many) share
+// decide_batch: a segment decided inside a batch must get bitwise the answer
+// it gets alone — in both identification modes, with the margin armed so
+// both abstain branches and (serialized) the null route are exercised, for
+// the unfused models classify() runs and the fused ones serve runs.
+TEST(Decision, BatchOfManyMatchesBatchesOfOne) {
+  const DecisionWorld& w = decision_world();
+  for (const IdentificationMode mode :
+       {IdentificationMode::kSerialized, IdentificationMode::kParallel}) {
+    const bool serialized = mode == IdentificationMode::kSerialized;
+    for (const bool fused : {false, true}) {
+      SCOPED_TRACE(std::string(serialized ? "serialized" : "parallel") +
+                   (fused ? " fused" : " unfused"));
+      GesturePrintSystem system(decision_config(mode));
+      ASSERT_TRUE(system.try_load(w.model_path[serialized ? 0 : 1]));
+      if (fused) system.fuse_for_inference();
+
+      const double margin = pick_margin(decide(system, w.rows, w.counts, 0.0), serialized);
+      ASSERT_GT(margin, 0.0) << "no margin exercises every decision branch";
+      const std::vector<InferenceResult> batch = decide(system, w.rows, w.counts, margin);
+      ASSERT_EQ(batch.size(), w.counts.size());
+      std::size_t gesture_gate = 0, user_gate = 0, null_route = 0;
+      std::size_t row = 0;
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        const InferenceResult& d = batch[k];
+        gesture_gate += d.gesture == kAbstain;
+        user_gate += d.gesture >= 0 && d.user == kAbstain;
+        null_route += d.gesture >= 0 && d.user == -1;
+        const std::span<const FeaturizedSample> rows(w.rows.data() + row, w.counts[k]);
+        const std::vector<InferenceResult> alone = decide(system, rows, {&w.counts[k], 1}, margin);
+        SCOPED_TRACE("segment " + std::to_string(k));
+        expect_bitwise_equal(d, alone.front());
+        row += w.counts[k];
+      }
+      EXPECT_GT(gesture_gate, 0u);
+      EXPECT_GT(user_gate, 0u);
+      EXPECT_EQ(null_route > 0, serialized);
+    }
+  }
 }
 
 }  // namespace

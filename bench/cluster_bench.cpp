@@ -160,9 +160,13 @@ int main() {
     cell.ms = outcome.ms;
     cell.bitwise_vs_single = results_bitwise_equal(outcome.results, reference);
     cells.push_back(cell);
+    const double rpc_per_result =
+        cell.results == 0 ? 0.0
+                          : static_cast<double>(cell.rpc_calls) / static_cast<double>(cell.results);
     std::cout << "  workers=" << workers << ": " << cell.results << " results in "
               << cell.ms << " ms (" << cell.rpc_attempts << " wire attempts / "
-              << cell.rpc_calls << " RPCs, " << cell.checkpoints << " checkpoints), "
+              << cell.rpc_calls << " RPCs = " << rpc_per_result << " RPCs per result, "
+              << cell.checkpoints << " checkpoints), "
               << (cell.bitwise_vs_single ? "bitwise == 1-worker" : "DIVERGED") << "\n";
     if (!cell.bitwise_vs_single || !outcome.pushes_ok) ok = false;
     if (outcome.stats.workers_evicted != 0) {

@@ -29,14 +29,6 @@ std::uint64_t session_hash(std::uint64_t session_id) {
   return fnv::accumulate_value(fnv::kOffsetBasis, session_id);
 }
 
-FrameCloud own_frame(const FrameView& frame) {
-  FrameCloud owned;
-  owned.frame_index = frame.frame_index;
-  owned.timestamp = frame.timestamp;
-  owned.points.assign(frame.points.begin(), frame.points.end());
-  return owned;
-}
-
 }  // namespace
 
 const char* eviction_reason_name(EvictionReason reason) {
@@ -52,6 +44,11 @@ const char* eviction_reason_name(EvictionReason reason) {
 }
 
 Cluster::Cluster(const ClusterConfig& config) : config_(config) {
+  if (config_.serve.enroll.enabled) {
+    throw InvalidArgument(
+        "cluster: GP_ENROLL (serve.enroll.enabled) is not supported under "
+        "gp::cluster; its workers run no enrollment");
+  }
   if (config_.workers == 0) config_.workers = 1;
   if (config_.virtual_nodes == 0) config_.virtual_nodes = 1;
   if (config_.checkpoint_every == 0) config_.checkpoint_every = 1;
@@ -63,6 +60,7 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
     }
   }
   std::sort(ring_.begin(), ring_.end());
+  batch_cap_ = std::max<std::size_t>(1, config_.serve.queue_cap * config_.serve.shards);
   std::lock_guard<std::mutex> lk(mu_);
   for (std::size_t slot = 0; slot < config_.workers; ++slot) spawn_slot_locked(slot);
   publish_gauges_locked();
@@ -132,20 +130,30 @@ std::size_t Cluster::route_locked(std::uint64_t session_id) const {
   return kNoOwner;
 }
 
-Cluster::SessionState& Cluster::session_locked(std::uint64_t session_id) {
-  return sessions_[session_id];
+std::vector<std::size_t> Cluster::live_slots_locked() const {
+  std::vector<std::size_t> slots;
+  for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
+    if (workers_[slot].alive) slots.push_back(slot);
+  }
+  return slots;
 }
 
-Message Cluster::attempt_locked(std::size_t slot, std::uint64_t seq, MsgType type,
-                                const std::string& payload, std::uint64_t deadline_ms) {
+void Cluster::send_locked(std::size_t slot, std::uint64_t seq, MsgType type,
+                          const std::string& payload) {
   WorkerState& w = workers_[slot];
   if (!w.handle.channel.valid()) throw TransportError("worker link is closed");
+  ++stats_.rpc_attempts;
   Message request;
   request.type = type;
   request.seq = seq;
   request.payload = payload;
-  ++stats_.rpc_attempts;
   w.handle.channel.send_message(encode_message(request));
+}
+
+Message Cluster::recv_locked(std::size_t slot, std::uint64_t seq,
+                             std::uint64_t deadline_ms) {
+  WorkerState& w = workers_[slot];
+  if (!w.handle.channel.valid()) throw TransportError("worker link is closed");
   std::string bytes;
   for (;;) {
     if (!w.handle.channel.recv_message(bytes, deadline_ms)) {
@@ -180,18 +188,44 @@ Message Cluster::attempt_locked(std::size_t slot, std::uint64_t seq, MsgType typ
   }
 }
 
-Message Cluster::call_locked(std::size_t slot, MsgType type, const std::string& payload,
-                             std::uint64_t deadline_ms,
-                             const faults::RetryPolicy& policy) {
+Message Cluster::attempt_locked(std::size_t slot, std::uint64_t seq, MsgType type,
+                                const std::string& payload, std::uint64_t deadline_ms) {
+  send_locked(slot, seq, type, payload);
+  return recv_locked(slot, seq, deadline_ms);
+}
+
+Cluster::Call Cluster::begin_call_locked(std::size_t slot, MsgType type,
+                                         std::string payload) {
   WorkerState& w = workers_[slot];
   if (!w.alive) throw TransportError("worker slot is down");
   // One seq for the whole RPC: every retry re-sends the same seq, so the
   // worker's at-most-once cache fires instead of re-executing the request.
-  const std::uint64_t seq = ++w.seq;
+  Call call;
+  call.slot = slot;
+  call.seq = ++w.seq;
+  call.type = type;
+  call.payload = std::move(payload);
   ++stats_.rpc_calls;
   try {
-    return faults::with_retries(policy, [&]() -> Message {
-      return attempt_locked(slot, seq, type, payload, deadline_ms);
+    send_locked(slot, call.seq, type, call.payload);
+    call.sent = true;
+  } catch (const Error&) {
+    call.sent = false;  // finish_call_locked's retries re-send it
+  }
+  return call;
+}
+
+Message Cluster::finish_call_locked(const Call& call) {
+  bool first = true;
+  try {
+    return faults::with_retries(config_.retry, [&]() -> Message {
+      if (first) {
+        first = false;
+        if (!call.sent) throw TransportError("request send failed");
+        return recv_locked(call.slot, call.seq, config_.rpc_deadline_ms);
+      }
+      return attempt_locked(call.slot, call.seq, call.type, call.payload,
+                            config_.rpc_deadline_ms);
     });
   } catch (const Error&) {
     ++stats_.rpc_failures;
@@ -200,70 +234,142 @@ Message Cluster::call_locked(std::size_t slot, MsgType type, const std::string& 
   }
 }
 
-Message Cluster::call_locked(std::size_t slot, MsgType type, const std::string& payload) {
-  return call_locked(slot, type, payload, config_.rpc_deadline_ms, config_.retry);
+Message Cluster::call_locked(std::size_t slot, MsgType type, std::string payload) {
+  return finish_call_locked(begin_call_locked(slot, type, std::move(payload)));
 }
 
 serve::Admission Cluster::push_frame(std::uint64_t session_id, const FrameView& frame) {
   std::lock_guard<std::mutex> lk(mu_);
-  const std::string payload = encode_wire_frame(session_id, frame);
-  for (std::size_t round = 0; round < config_.workers + 2; ++round) {
-    SessionState& s = session_locked(session_id);
+  SessionState& s = sessions_[session_id];
+  if (s.owner == kNoOwner) {
+    const bool has_history = s.checkpoint_valid || !s.replay.empty() || s.emitted > 0;
+    if (has_history) {
+      // A previously-unplaceable session regains capacity: run the full
+      // failover (restore checkpoint + replay) before this new frame.
+      pending_migrations_.emplace_back(session_id, kNoOwner);
+      drive_migrations_locked();
+    } else {
+      s.owner = route_locked(session_id);
+    }
     if (s.owner == kNoOwner) {
-      const bool has_history =
-          s.checkpoint_valid || !s.replay.empty() || s.emitted > 0;
-      if (has_history) {
-        // A previously-unplaceable session regains capacity: run the full
-        // failover (restore checkpoint + replay) before this new frame.
-        pending_migrations_.emplace_back(session_id, kNoOwner);
-        drive_migrations_locked();
-      } else {
-        s.owner = route_locked(session_id);
-      }
-      if (s.owner == kNoOwner) {
-        ++stats_.frames_shed_no_worker;
-        GP_COUNTER_ADD("gp.cluster.frames_shed_no_worker", 1);
-        return serve::Admission::kRejectedNoWorker;
-      }
+      ++stats_.frames_shed_no_worker;
+      GP_COUNTER_ADD("gp.cluster.frames_shed_no_worker", 1);
+      return serve::Admission::kRejectedNoWorker;
     }
-    const std::size_t owner = s.owner;
-    serve::Admission verdict;
+  }
+  const std::size_t owner = s.owner;
+  Batch& batch = workers_[owner].outbound;
+  batch.request.frames.push_back(encode_wire_frame(session_id, frame));
+  batch.sessions.push_back(session_id);
+  if (batch.sessions.size() >= batch_cap_) {
+    // A caller that never pumps must not grow router memory without limit:
+    // ship the full batch now, without a pump, exactly as the worker would
+    // have seen these frames one by one.
+    std::vector<serve::ServeResult> none;
+    tick_locked(TickOp::kFramesOnly, {owner}, none);
+  }
+  return serve::Admission::kAccepted;
+}
+
+std::vector<std::uint64_t> Cluster::due_checkpoints_locked(const Batch& batch) const {
+  std::vector<std::uint64_t> sids = batch.sessions;
+  std::sort(sids.begin(), sids.end());
+  std::vector<std::uint64_t> due;
+  for (std::size_t i = 0; i < sids.size();) {
+    std::size_t j = i;
+    while (j < sids.size() && sids[j] == sids[i]) ++j;
+    const auto it = sessions_.find(sids[i]);
+    if (it != sessions_.end() &&
+        it->second.replay.size() + (j - i) >= config_.checkpoint_every) {
+      due.push_back(sids[i]);
+    }
+    i = j;
+  }
+  return due;
+}
+
+void Cluster::tick_locked(TickOp op, const std::vector<std::size_t>& slots,
+                          std::vector<serve::ServeResult>& out) {
+  // Send every batch before reading any reply, so the workers run their
+  // pumps at the same time.
+  std::vector<Call> calls;
+  calls.reserve(slots.size());
+  for (const std::size_t slot : slots) {
+    WorkerState& w = workers_[slot];
+    if (!w.alive) continue;
+    w.inflight = std::move(w.outbound);
+    w.outbound = Batch{};
+    w.inflight.request.op = op;
+    if (op == TickOp::kPump) w.inflight.request.checkpoints = due_checkpoints_locked(w.inflight);
+    calls.push_back(
+        begin_call_locked(slot, MsgType::kTick, encode_tick_request(w.inflight.request)));
+  }
+  // Evictions while replies are outstanding defer their migrations: a
+  // failover RPC to a worker whose tick reply is still unread would skip
+  // that reply as stale.
+  collecting_ = true;
+  for (const Call& call : calls) {
     try {
-      const Message reply = call_locked(owner, MsgType::kFrame, payload);
-      if (reply.type != MsgType::kAck) {
-        // kError (handler threw) or a protocol violation: the worker's state
-        // for this stream can no longer be trusted — evict and fail over.
-        throw TransportError(std::string("unexpected kFrame reply: ") +
-                             msg_type_name(reply.type));
-      }
-      verdict = static_cast<serve::Admission>(decode_ack(reply.payload));
+      apply_tick_reply_locked(call.slot, finish_call_locked(call), out);
     } catch (const Error&) {
-      evict_locked(owner, EvictionReason::kLinkFailure, /*already_reaped=*/false);
-      continue;  // the eviction migrated (or unowned) this session; re-route
+      evict_locked(call.slot, EvictionReason::kLinkFailure, /*already_reaped=*/false);
     }
-    if (verdict == serve::Admission::kAccepted) {
-      // Record for replay only *after* the ack: an eviction mid-push means
-      // the frame was never accepted anywhere, and this loop re-sends it to
-      // the new owner itself — buffering it early would double-deliver.
-      s.replay.push_back(own_frame(frame));
-      ++s.frames_since_checkpoint;
+  }
+  collecting_ = false;
+  drive_migrations_locked();
+}
+
+void Cluster::apply_tick_reply_locked(std::size_t slot, const Message& reply,
+                                      std::vector<serve::ServeResult>& out) {
+  if (reply.type != MsgType::kTickReply) {
+    // kError (handler threw) or a protocol violation: the worker's state
+    // for these streams can no longer be trusted — evict and fail over.
+    throw TransportError(std::string("unexpected kTick reply: ") + msg_type_name(reply.type) +
+                         (reply.type == MsgType::kError ? " (" + decode_text(reply.payload) + ")"
+                                                        : std::string()));
+  }
+  TickReply tick = decode_tick_reply(reply.payload);
+  Batch& batch = workers_[slot].inflight;
+  const std::vector<std::uint64_t>& asked = batch.request.checkpoints;
+  bool matches =
+      tick.verdicts.size() == batch.sessions.size() && tick.states.size() == asked.size();
+  for (std::size_t i = 0; matches && i < asked.size(); ++i) {
+    matches = tick.states[i].first == asked[i];
+  }
+  if (!matches) throw TransportError("tick reply does not match its request");
+
+  for (std::size_t i = 0; i < batch.sessions.size(); ++i) {
+    if (tick.verdicts[i] == serve::Admission::kAccepted) {
+      // Record for replay only *after* the verdict: a frame whose worker is
+      // evicted first was never accepted anywhere, and is handed to the
+      // session's new owner as an orphan instead.
+      sessions_[batch.sessions[i]].replay.push_back(std::move(batch.request.frames[i]));
       ++stats_.frames_accepted;
       GP_COUNTER_ADD("gp.cluster.frames_accepted", 1);
     } else {
       ++stats_.frames_rejected_queue_full;
       GP_COUNTER_ADD("gp.cluster.frames_rejected", 1);
     }
-    return verdict;
   }
-  ++stats_.frames_shed_no_worker;
-  GP_COUNTER_ADD("gp.cluster.frames_shed_no_worker", 1);
-  return serve::Admission::kRejectedNoWorker;
+  append_results_locked(tick.results, out);
+  // The states were exported after this tick's pump, so each covers every
+  // frame the router has sent its session.
+  for (auto& [sid, blob] : tick.states) {
+    if (blob.empty()) continue;  // unknown to the worker: keep the replay buffer
+    SessionState& s = sessions_[sid];
+    s.checkpoint = std::move(blob);
+    s.checkpoint_valid = true;
+    s.replay.clear();
+    ++stats_.checkpoints;
+    GP_COUNTER_ADD("gp.cluster.checkpoints", 1);
+  }
+  batch = Batch{};
 }
 
 void Cluster::append_results_locked(const std::vector<serve::ServeResult>& batch,
                                     std::vector<serve::ServeResult>& out) {
   for (const serve::ServeResult& r : batch) {
-    SessionState& s = session_locked(r.session_id);
+    SessionState& s = sessions_[r.session_id];
     if (r.segment_ordinal < s.emitted) {
       // A failover replayed frames whose segments were already delivered;
       // the per-session ordinal is the dedup key.
@@ -281,25 +387,8 @@ std::vector<serve::ServeResult> Cluster::pump() {
   std::lock_guard<std::mutex> lk(mu_);
   ++tick_;
   std::vector<serve::ServeResult> out;
-  // Sessions migrated on a *previous* tick have had their replay frames
-  // drained by now (their new owner was pumped), so they are checkpointable
-  // again this tick.
-  for (auto& [sid, s] : sessions_) s.migrated_this_tick = false;
   reap_dead_locked();
-  for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
-    if (!workers_[slot].alive) continue;
-    try {
-      const Message reply = call_locked(slot, MsgType::kPump, std::string());
-      if (reply.type != MsgType::kResults) {
-        throw TransportError(std::string("unexpected kPump reply: ") +
-                             msg_type_name(reply.type));
-      }
-      append_results_locked(decode_wire_results(reply.payload), out);
-    } catch (const Error&) {
-      evict_locked(slot, EvictionReason::kLinkFailure, /*already_reaped=*/false);
-    }
-  }
-  checkpoint_due_locked();
+  tick_locked(TickOp::kPump, live_slots_locked(), out);
   heartbeat_probe_locked();
   publish_gauges_locked();
   return out;
@@ -311,58 +400,17 @@ std::vector<serve::ServeResult> Cluster::drain() {
   std::vector<serve::ServeResult> out;
   reap_dead_locked();
   // A worker dying mid-drain migrates its sessions (replay frames land in
-  // the new owner's ingress queue), so keep draining until one full pass
-  // completes without an eviction. Re-draining an already-flushed worker is
-  // idempotent, and replayed duplicates fall to the ordinal dedup.
+  // the new owner's ingress queue, its unanswered frames in the new owner's
+  // outbound batch), so keep draining until one full pass completes without
+  // an eviction. Re-draining an already-flushed worker is idempotent, and
+  // replayed duplicates fall to the ordinal dedup.
   for (std::size_t pass = 0; pass < config_.workers + 2; ++pass) {
     const std::uint64_t evictions_before = stats_.workers_evicted;
-    for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
-      if (!workers_[slot].alive) continue;
-      try {
-        const Message reply = call_locked(slot, MsgType::kDrainAll, std::string());
-        if (reply.type != MsgType::kResults) {
-          throw TransportError(std::string("unexpected kDrainAll reply: ") +
-                               msg_type_name(reply.type));
-        }
-        append_results_locked(decode_wire_results(reply.payload), out);
-      } catch (const Error&) {
-        evict_locked(slot, EvictionReason::kLinkFailure, /*already_reaped=*/false);
-      }
-    }
+    tick_locked(TickOp::kDrain, live_slots_locked(), out);
     if (stats_.workers_evicted == evictions_before) break;
   }
   publish_gauges_locked();
   return out;
-}
-
-void Cluster::checkpoint_due_locked() {
-  for (auto& [sid, s] : sessions_) {
-    if (s.owner == kNoOwner) continue;
-    if (s.migrated_this_tick) continue;  // replay not yet drained by its owner
-    if (s.frames_since_checkpoint < config_.checkpoint_every) continue;
-    if (!workers_[s.owner].alive) continue;
-    try {
-      const Message reply =
-          call_locked(s.owner, MsgType::kCheckpoint, encode_u64(sid));
-      if (reply.type != MsgType::kState) {
-        throw TransportError(std::string("unexpected kCheckpoint reply: ") +
-                             msg_type_name(reply.type));
-      }
-      auto [echo_sid, blob] = decode_state(reply.payload);
-      if (echo_sid != sid || blob.empty()) continue;  // keep the replay buffer
-      s.checkpoint = std::move(blob);
-      s.checkpoint_valid = true;
-      s.replay.clear();
-      s.frames_since_checkpoint = 0;
-      ++stats_.checkpoints;
-      GP_COUNTER_ADD("gp.cluster.checkpoints", 1);
-    } catch (const Error&) {
-      evict_locked(s.owner, EvictionReason::kLinkFailure, /*already_reaped=*/false);
-      // The eviction migrated this session (flagging it), or left it
-      // unowned; either way its checkpoint state is untouched. The map
-      // itself was not mutated, so iteration continues safely.
-    }
-  }
 }
 
 void Cluster::heartbeat_probe_locked() {
@@ -439,6 +487,15 @@ void Cluster::evict_locked(std::size_t slot, EvictionReason reason, bool already
   }
   w.handle.channel.close();
   w.handle.pid = -1;
+  // Frames this worker never answered for — the unanswered batch first,
+  // then the unsent one — go to their sessions' new owners, after the
+  // restore and replay.
+  for (Batch* batch : {&w.inflight, &w.outbound}) {
+    for (std::size_t i = 0; i < batch->sessions.size(); ++i) {
+      orphans_.emplace_back(batch->sessions[i], std::move(batch->request.frames[i]));
+    }
+    *batch = Batch{};
+  }
   for (auto& [sid, s] : sessions_) {
     if (s.owner != slot) continue;
     s.owner = kNoOwner;
@@ -456,7 +513,7 @@ void Cluster::drive_migrations_locked() {
   // Evictions triggered *during* a migration (the new owner fails too) land
   // back in pending_migrations_; only the outermost call drains the queue,
   // so the recursion depth stays constant no matter how many workers fall.
-  if (migration_depth_ > 0) return;
+  if (migration_depth_ > 0 || collecting_) return;
   ++migration_depth_;
   // Hard bound on total work: every session can fail over across every slot
   // a constant number of times before we give up and leave it unowned.
@@ -464,7 +521,7 @@ void Cluster::drive_migrations_locked() {
   while (!pending_migrations_.empty()) {
     const auto [sid, from_slot] = pending_migrations_.back();
     pending_migrations_.pop_back();
-    SessionState& s = session_locked(sid);
+    SessionState& s = sessions_[sid];
     if (s.owner != kNoOwner) continue;  // already re-homed by a later entry
     if (pops_left == 0) {
       ++stats_.migration_failures;
@@ -478,28 +535,7 @@ void Cluster::drive_migrations_locked() {
       const std::size_t target = route_locked(sid);
       if (target == kNoOwner) break;
       try {
-        if (s.checkpoint_valid) {
-          const Message reply = call_locked(
-              target, MsgType::kRestore, encode_state(sid, s.checkpoint));
-          if (reply.type != MsgType::kAck) {
-            throw TransportError(
-                std::string("unexpected kRestore reply: ") + msg_type_name(reply.type) +
-                (reply.type == MsgType::kError ? " (" + decode_text(reply.payload) + ")"
-                                               : std::string()));
-          }
-        }
-        for (const FrameCloud& frame : s.replay) {
-          const Message reply = call_locked(
-              target, MsgType::kFrame, encode_wire_frame(sid, frame));
-          if (reply.type != MsgType::kAck ||
-              static_cast<serve::Admission>(decode_ack(reply.payload)) !=
-                  serve::Admission::kAccepted) {
-            // A replay frame the old owner had accepted must land — a
-            // partial replay leaves the target's stream diverged, so discard
-            // that worker's state (evict) and try a fresh target.
-            throw TransportError("replay frame not accepted during failover");
-          }
-        }
+        restore_and_replay_locked(target, sid, s);
         placed_target = target;
       } catch (const Error& e) {
         log_warn() << "cluster: failover of session " << sid << " to worker " << target
@@ -511,7 +547,6 @@ void Cluster::drive_migrations_locked() {
     }
     if (placed_target != kNoOwner) {
       s.owner = placed_target;
-      s.migrated_this_tick = true;
       ++stats_.sessions_migrated;
       GP_COUNTER_ADD("gp.cluster.sessions_migrated", 1);
       health::FlightRecorder::global().record(
@@ -526,6 +561,57 @@ void Cluster::drive_migrations_locked() {
     }
   }
   --migration_depth_;
+  requeue_orphans_locked();
+}
+
+void Cluster::restore_and_replay_locked(std::size_t target, std::uint64_t sid,
+                                        const SessionState& s) {
+  if (s.checkpoint_valid) {
+    const Message reply =
+        call_locked(target, MsgType::kRestore, encode_state(sid, s.checkpoint));
+    if (reply.type != MsgType::kAck) {
+      throw TransportError(
+          std::string("unexpected kRestore reply: ") + msg_type_name(reply.type) +
+          (reply.type == MsgType::kError ? " (" + decode_text(reply.payload) + ")"
+                                         : std::string()));
+    }
+  }
+  if (s.replay.empty()) return;
+  TickRequest replay;
+  replay.op = TickOp::kFramesOnly;
+  replay.frames = s.replay;
+  const Message reply = call_locked(target, MsgType::kTick, encode_tick_request(replay));
+  if (reply.type != MsgType::kTickReply) {
+    throw TransportError(std::string("unexpected replay reply: ") +
+                         msg_type_name(reply.type));
+  }
+  const TickReply tick = decode_tick_reply(reply.payload);
+  if (tick.verdicts.size() != replay.frames.size() ||
+      std::any_of(tick.verdicts.begin(), tick.verdicts.end(), [](serve::Admission v) {
+        return v != serve::Admission::kAccepted;
+      })) {
+    // A replay frame the old owner had accepted must land — a partial
+    // replay leaves the target's stream diverged, so discard that worker's
+    // state (evict) and try a fresh target.
+    throw TransportError("replay frame not accepted during failover");
+  }
+}
+
+void Cluster::requeue_orphans_locked() {
+  std::vector<std::pair<std::uint64_t, std::string>> orphans;
+  orphans.swap(orphans_);
+  for (auto& [sid, row] : orphans) {
+    const std::size_t owner = sessions_[sid].owner;
+    if (owner == kNoOwner) {
+      ++stats_.frames_shed_no_worker;
+      GP_COUNTER_ADD("gp.cluster.frames_shed_no_worker", 1);
+      continue;
+    }
+    // The session has no later frame anywhere yet: pushes wait on mu_.
+    Batch& batch = workers_[owner].outbound;
+    batch.request.frames.push_back(std::move(row));
+    batch.sessions.push_back(sid);
+  }
 }
 
 void Cluster::supervise() {
@@ -575,6 +661,12 @@ std::size_t Cluster::owner_slot(std::uint64_t session_id) const {
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = sessions_.find(session_id);
   return it == sessions_.end() ? kNoOwner : it->second.owner;
+}
+
+std::size_t Cluster::replay_depth(std::uint64_t session_id) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = sessions_.find(session_id);
+  return it == sessions_.end() ? 0 : it->second.replay.size();
 }
 
 Cluster::Stats Cluster::stats() const {

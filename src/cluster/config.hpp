@@ -34,8 +34,8 @@ struct ClusterConfig {
   std::uint64_t heartbeat_ms = 200;
   /// Consecutive failed probes before a hung worker is evicted.
   std::size_t max_missed_heartbeats = 3;
-  /// Per-attempt reply deadline for ordinary RPCs (frames, pumps,
-  /// checkpoints), in ms.
+  /// Per-attempt reply deadline for ordinary RPCs (tick batches, restores),
+  /// in ms.
   std::uint64_t rpc_deadline_ms = 2000;
   /// Send/recv retry schedule per RPC; retry.deadline_ms bounds the whole
   /// RPC including backoffs (the faults::with_retries budget).

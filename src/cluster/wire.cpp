@@ -10,6 +10,8 @@ namespace gp::cluster {
 namespace {
 
 constexpr const char* kEnvelopeTag = "GPWM";
+constexpr const char* kTickTag = "GPWT";
+constexpr const char* kTickReplyTag = "GPWU";
 constexpr const char* kFrameTag = "GPWF";
 constexpr const char* kResultsTag = "GPWR";
 constexpr const char* kControlTag = "GPWK";
@@ -19,6 +21,8 @@ constexpr const char* kControlTag = "GPWK";
 constexpr std::size_t kMinPointBytes = 5 * sizeof(double) + sizeof(std::int32_t);
 /// Wire footprint floor of one WireResult row.
 constexpr std::size_t kMinResultBytes = 3 * sizeof(std::uint64_t);
+/// Wire footprint floor of a length-prefixed string (frame row, state blob).
+constexpr std::size_t kMinStringBytes = sizeof(std::uint32_t);
 
 /// The envelope checksum covers the payload bytes and the type/seq header
 /// words: a flip in *any* of them must fail the decode, or a damaged seq
@@ -36,16 +40,12 @@ std::uint64_t envelope_checksum(MsgType type, std::uint64_t seq,
 
 const char* msg_type_name(MsgType type) {
   switch (type) {
-    case MsgType::kFrame: return "frame";
-    case MsgType::kPump: return "pump";
-    case MsgType::kDrainAll: return "drain_all";
-    case MsgType::kCheckpoint: return "checkpoint";
+    case MsgType::kTick: return "tick";
     case MsgType::kRestore: return "restore";
     case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kAck: return "ack";
-    case MsgType::kResults: return "results";
-    case MsgType::kState: return "state";
+    case MsgType::kTickReply: return "tick_reply";
     case MsgType::kCorrupt: return "corrupt";
     case MsgType::kError: return "error";
   }
@@ -161,6 +161,75 @@ std::vector<serve::ServeResult> decode_wire_results(const std::string& payload) 
     results.push_back(res);
   }
   return results;
+}
+
+std::string encode_tick_request(const TickRequest& request) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(out, kTickTag);
+  w.write_u8(static_cast<std::uint8_t>(request.op));
+  w.write_u64(request.frames.size());
+  for (const std::string& row : request.frames) w.write_string(row);
+  w.write_u64(request.checkpoints.size());
+  for (const std::uint64_t sid : request.checkpoints) w.write_u64(sid);
+  return out.str();
+}
+
+TickRequest decode_tick_request(const std::string& payload) {
+  std::istringstream in(payload, std::ios::binary);
+  BinaryReader r(in, kTickTag);
+  TickRequest request;
+  const std::uint8_t op = r.read_u8();
+  if (op > static_cast<std::uint8_t>(TickOp::kDrain)) {
+    throw SerializationError("wire tick: unknown op " + std::to_string(op));
+  }
+  request.op = static_cast<TickOp>(op);
+  const std::uint64_t frames = r.read_count(kMinStringBytes, "wire tick frames");
+  request.frames.reserve(static_cast<std::size_t>(frames));
+  for (std::uint64_t i = 0; i < frames; ++i) request.frames.push_back(r.read_string());
+  const std::uint64_t checkpoints =
+      r.read_count(sizeof(std::uint64_t), "wire tick checkpoints");
+  request.checkpoints.reserve(static_cast<std::size_t>(checkpoints));
+  for (std::uint64_t i = 0; i < checkpoints; ++i) request.checkpoints.push_back(r.read_u64());
+  return request;
+}
+
+std::string encode_tick_reply(const TickReply& reply) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(out, kTickReplyTag);
+  w.write_u64(reply.verdicts.size());
+  for (const serve::Admission v : reply.verdicts) w.write_u8(static_cast<std::uint8_t>(v));
+  w.write_string(encode_wire_results(reply.results));
+  w.write_u64(reply.states.size());
+  for (const auto& [sid, blob] : reply.states) {
+    w.write_u64(sid);
+    w.write_string(blob);
+  }
+  return out.str();
+}
+
+TickReply decode_tick_reply(const std::string& payload) {
+  std::istringstream in(payload, std::ios::binary);
+  BinaryReader r(in, kTickReplyTag);
+  TickReply reply;
+  const std::uint64_t verdicts = r.read_count(1, "wire tick verdicts");
+  reply.verdicts.reserve(static_cast<std::size_t>(verdicts));
+  for (std::uint64_t i = 0; i < verdicts; ++i) {
+    const std::uint8_t v = r.read_u8();
+    if (v > static_cast<std::uint8_t>(serve::Admission::kRejectedNoWorker)) {
+      throw SerializationError("wire tick reply: unknown admission verdict " +
+                               std::to_string(v));
+    }
+    reply.verdicts.push_back(static_cast<serve::Admission>(v));
+  }
+  reply.results = decode_wire_results(r.read_string());
+  const std::uint64_t states =
+      r.read_count(sizeof(std::uint64_t) + kMinStringBytes, "wire tick states");
+  reply.states.reserve(static_cast<std::size_t>(states));
+  for (std::uint64_t i = 0; i < states; ++i) {
+    const std::uint64_t sid = r.read_u64();
+    reply.states.emplace_back(sid, r.read_string());
+  }
+  return reply;
 }
 
 std::string encode_ack(std::uint32_t code) {

@@ -8,8 +8,9 @@
 // magic is detected — a corrupt envelope decodes to a typed
 // SerializationError (rejected-not-crashed), never to a silently wrong
 // message. Payloads reuse the same hardened BinaryReader discipline with
-// their own inner tags ("GPWF" frames, "GPWR" results, "GPWK" control), so
-// feeding a frame payload to the results decoder is a typed error too.
+// their own inner tags ("GPWT" tick requests, "GPWU" tick replies, "GPWF"
+// frame rows, "GPWR" results, "GPWK" control), so feeding a frame payload to
+// the results decoder is a typed error too.
 //
 // Error taxonomy at this layer:
 //   SerializationError — these exact bytes are malformed; re-decoding them
@@ -41,17 +42,13 @@ class TransportError : public Error {
 /// Message vocabulary. Requests flow router→worker, replies worker→router.
 enum class MsgType : std::uint8_t {
   // requests
-  kFrame = 0,    ///< WireFrame payload; reply kAck(admission verdict)
-  kPump,         ///< empty payload; reply kResults
-  kDrainAll,     ///< empty payload; reply kResults (end-of-stream flush)
-  kCheckpoint,   ///< u64 session payload; reply kState (empty blob = unknown)
+  kTick = 0,     ///< TickRequest payload; reply kTickReply
   kRestore,      ///< state payload; reply kAck(0)
   kHeartbeat,    ///< u64 nonce payload; reply kAck echoes it back
   kShutdown,     ///< empty payload; reply kAck(0), then the worker exits
   // replies
-  kAck,          ///< u32 code payload (admission verdict / ok)
-  kResults,      ///< WireResult vector payload
-  kState,        ///< (session id, state blob) payload
+  kAck,          ///< u32 code payload (ok / heartbeat nonce)
+  kTickReply,    ///< TickReply payload
   kCorrupt,      ///< text payload: the request failed its envelope decode
   kError,        ///< text payload: the handler threw (protocol-level fault)
 };
@@ -72,7 +69,7 @@ Message decode_message(const std::string& bytes);
 
 // ------------------------------------------------------------ payloads
 
-/// One radar frame addressed to a session (the kFrame payload).
+/// One radar frame addressed to a session (one row of a TickRequest).
 struct WireFrame {
   std::uint64_t session_id = 0;
   FrameCloud frame;
@@ -83,10 +80,45 @@ std::string encode_wire_frame(std::uint64_t session_id, const FrameView& frame);
 /// SerializationError on malformed input.
 WireFrame decode_wire_frame(const std::string& payload);
 
-/// kResults payload: a batch of classified segments (WireResult rows are
-/// serve::ServeResult — the cluster answers with the exact serve vocabulary).
+/// A batch of classified segments (WireResult rows are serve::ServeResult —
+/// the cluster answers with the exact serve vocabulary); nested in TickReply.
 std::string encode_wire_results(const std::vector<serve::ServeResult>& results);
 std::vector<serve::ServeResult> decode_wire_results(const std::string& payload);
+
+/// What a worker does between pushing a tick's frames and exporting state.
+enum class TickOp : std::uint8_t {
+  kFramesOnly = 0,  ///< push only: a full outbound batch or a failover replay
+  kPump,            ///< push, Server::pump(), export the checkpoint sessions
+  kDrain,           ///< push, Server::drain() (end-of-stream flush)
+};
+
+/// The kTick payload (inner tag "GPWT"): one worker's whole share of a
+/// router tick. The worker pushes `frames` in order, runs `op`, then exports
+/// the `checkpoints` sessions — all under the envelope's single seq, so the
+/// batch is the at-most-once unit.
+struct TickRequest {
+  TickOp op = TickOp::kPump;
+  std::vector<std::string> frames;         ///< encode_wire_frame rows
+  std::vector<std::uint64_t> checkpoints;  ///< sessions to export (kPump only)
+};
+
+/// The kTickReply payload (inner tag "GPWU"): one admission verdict per
+/// request frame (same order), the op's results, and one state blob per
+/// requested checkpoint (same order; an empty blob = unknown session).
+struct TickReply {
+  std::vector<serve::Admission> verdicts;
+  std::vector<serve::ServeResult> results;
+  std::vector<std::pair<std::uint64_t, std::string>> states;
+};
+
+std::string encode_tick_request(const TickRequest& request);
+/// Hardened decode: validates the op, every row count and the checkpoint
+/// count; rows stay encoded (decode_wire_frame each). Throws
+/// SerializationError on malformed input.
+TickRequest decode_tick_request(const std::string& payload);
+std::string encode_tick_reply(const TickReply& reply);
+/// Hardened decode: validates every verdict and the nested results batch.
+TickReply decode_tick_reply(const std::string& payload);
 
 /// Control payloads (inner tag "GPWK"): a bare code/nonce/session id, a
 /// (session, blob) state pair, and free text for kCorrupt/kError.

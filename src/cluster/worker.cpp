@@ -36,30 +36,35 @@ Message handle_request(serve::Server& server, const Message& request) {
   reply.seq = request.seq;
   try {
     switch (request.type) {
-      case MsgType::kFrame: {
-        const WireFrame wf = decode_wire_frame(request.payload);
-        const serve::Admission verdict = server.push_frame(wf.session_id, wf.frame);
-        reply.type = MsgType::kAck;
-        reply.payload = encode_ack(static_cast<std::uint32_t>(verdict));
-        break;
-      }
-      case MsgType::kPump:
-        reply.type = MsgType::kResults;
-        reply.payload = encode_wire_results(server.pump());
-        break;
-      case MsgType::kDrainAll:
-        reply.type = MsgType::kResults;
-        reply.payload = encode_wire_results(server.drain());
-        break;
-      case MsgType::kCheckpoint: {
-        const std::uint64_t session_id = decode_u64(request.payload);
-        std::ostringstream blob(std::ios::binary);
-        std::string state;
-        if (server.export_session(session_id, blob)) state = blob.str();
-        // Unknown session → empty blob: the router keeps its replay buffer
-        // instead of treating a never-delivered session as an error.
-        reply.type = MsgType::kState;
-        reply.payload = encode_state(session_id, state);
+      case MsgType::kTick: {
+        const TickRequest tick = decode_tick_request(request.payload);
+        if (tick.op != TickOp::kPump && !tick.checkpoints.empty()) {
+          // Only a pump leaves the ingress queues empty, so only a post-pump
+          // export captures every frame the router has sent.
+          throw Error("tick: checkpoints are only taken after a pump");
+        }
+        // Decode every row before pushing any, so a malformed batch is
+        // rejected whole instead of half-applied.
+        std::vector<WireFrame> frames;
+        frames.reserve(tick.frames.size());
+        for (const std::string& row : tick.frames) frames.push_back(decode_wire_frame(row));
+        TickReply out;
+        out.verdicts.reserve(frames.size());
+        for (const WireFrame& wf : frames) {
+          out.verdicts.push_back(server.push_frame(wf.session_id, wf.frame));
+        }
+        if (tick.op == TickOp::kPump) out.results = server.pump();
+        if (tick.op == TickOp::kDrain) out.results = server.drain();
+        for (const std::uint64_t session_id : tick.checkpoints) {
+          // Unknown session → empty blob: the router keeps its replay buffer
+          // instead of treating a never-delivered session as an error.
+          std::ostringstream blob(std::ios::binary);
+          std::string state;
+          if (server.export_session(session_id, blob)) state = blob.str();
+          out.states.emplace_back(session_id, std::move(state));
+        }
+        reply.type = MsgType::kTickReply;
+        reply.payload = encode_tick_reply(out);
         break;
       }
       case MsgType::kRestore: {
@@ -96,13 +101,13 @@ Message handle_request(serve::Server& server, const Message& request) {
 int worker_main(int fd, const ClusterConfig& config, std::size_t slot) {
   // Fork safety: the parent's ExecContext pool threads do not exist in this
   // process. SerialScope forces every context to run inline for the
-  // worker's whole life — correct on this 1-core box and deadlock-free
-  // everywhere.
+  // worker's whole life, so nothing waits on a thread that was never
+  // forked; parallelism comes from the workers computing side by side.
   exec::SerialScope serial;
 
   serve::ServeConfig sc = config.serve;
-  // Every pump flushes the batcher, so a checkpoint taken right after a
-  // pump captures the whole stream; tick-based shedding is disabled because
+  // Every pump flushes the batcher, so a checkpoint exported right after
+  // the pump of the same tick captures the whole stream; tick-based shedding is disabled because
   // per-worker tick counts vary with the worker count (determinism bar).
   sc.batch_wait_us = 0;
   sc.stale_after_ticks = 0;

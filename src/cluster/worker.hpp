@@ -11,8 +11,8 @@
 // At-most-once execution: every request carries a per-link seq. The worker
 // remembers the last successfully executed seq and its reply; a duplicate
 // seq (the router re-sent after a lost/corrupt reply) returns the cached
-// reply without re-executing, so a retried kFrame can never push the same
-// frame twice. Requests that fail the envelope decode get a kCorrupt reply
+// reply without re-executing, so a retried kTick can never push its batch
+// of frames (or pump) twice. Requests that fail the envelope decode get a kCorrupt reply
 // (seq 0 — the seq itself is untrusted in corrupt bytes) and change no
 // state: the router counts them and retransmits.
 #pragma once

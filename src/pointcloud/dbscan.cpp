@@ -54,34 +54,49 @@ void dbscan_into(const PointCloud& cloud, const DbscanParams& params, DbscanScra
     }
   };
 
-  scratch.visited.assign(n, 0);
-  std::vector<char>& visited = scratch.visited;
+  // Per-point state: unseen, queued in the current expansion, or visited.
+  constexpr char kUnseen = 0;
+  constexpr char kQueued = 1;
+  constexpr char kVisited = 2;
+  std::vector<char>& state = scratch.state;
+  state.assign(n, kUnseen);
   // BFS frontier as a head-indexed ring: push_back grows the tail, the
   // head index advances instead of popping, so the expansion order matches
   // the previous deque-based queue exactly while the storage is recycled.
+  // Each point is queued at most once: a repeat entry, or one for a point
+  // already visited, would be a no-op when popped (a visited noise point
+  // only turns border, which is done here instead). That bounds the
+  // recycled queue by n, not by the sum of the neighbourhood sizes.
   std::vector<std::size_t>& queue = scratch.queue;
+  int cluster = kDbscanNoise;
+  const auto expand = [&]() {
+    for (const std::size_t k : scratch.neighbours) {
+      if (state[k] == kUnseen) {
+        state[k] = kQueued;
+        queue.push_back(k);
+      } else if (state[k] == kVisited && out.labels[k] == kDbscanNoise) {
+        out.labels[k] = cluster;  // border point
+      }
+    }
+  };
 
   int next_cluster = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (visited[i]) continue;
-    visited[i] = 1;
+    if (state[i] != kUnseen) continue;
+    state[i] = kVisited;
     find_neighbours(i);
     if (scratch.neighbours.size() < params.min_points) continue;  // not a core point (yet)
 
-    const int cluster = next_cluster++;
+    cluster = next_cluster++;
     out.labels[i] = cluster;
     queue.clear();
-    queue.insert(queue.end(), scratch.neighbours.begin(), scratch.neighbours.end());
+    expand();
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const std::size_t j = queue[head];
-      if (out.labels[j] == kDbscanNoise) out.labels[j] = cluster;  // border point
-      if (visited[j]) continue;
-      visited[j] = 1;
+      state[j] = kVisited;
       out.labels[j] = cluster;
       find_neighbours(j);
-      if (scratch.neighbours.size() >= params.min_points) {
-        queue.insert(queue.end(), scratch.neighbours.begin(), scratch.neighbours.end());
-      }
+      if (scratch.neighbours.size() >= params.min_points) expand();
     }
   }
   out.num_clusters = static_cast<std::size_t>(next_cluster);

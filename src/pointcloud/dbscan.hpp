@@ -36,7 +36,7 @@ DbscanResult dbscan(const PointCloud& cloud, const DbscanParams& params);
 /// Reusable working memory for dbscan_into: hot loops keep one per caller
 /// so repeated clustering stops allocating (capacities stay warm).
 struct DbscanScratch {
-  std::vector<char> visited;
+  std::vector<char> state;  ///< per point: unseen / queued / visited
   std::vector<std::size_t> neighbours;
   std::vector<std::size_t> queue;  ///< BFS ring (head index, no pops)
 };

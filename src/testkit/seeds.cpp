@@ -140,11 +140,7 @@ std::string wire_frame_seed() {
   frame.frame_index = 7;
   frame.timestamp = 0.7;
   for (int i = 0; i < 5; ++i) frame.points.push_back(seed_point(rng, 7));
-  cluster::Message msg;
-  msg.type = cluster::MsgType::kFrame;
-  msg.seq = 3;
-  msg.payload = cluster::encode_wire_frame(0xF0225EEDULL, frame);
-  return cluster::encode_message(msg);
+  return cluster::encode_wire_frame(0xF0225EEDULL, frame);
 }
 
 std::string wire_results_seed() {
@@ -159,10 +155,30 @@ std::string wire_results_seed() {
   results[0].model_version = 1;
   results[1].session_id = 12;
   results[1].abstained = true;
+  return cluster::encode_wire_results(results);
+}
+
+std::string wire_tick_seed() {
+  cluster::TickRequest tick;
+  tick.op = cluster::TickOp::kPump;
+  tick.frames = {wire_frame_seed(), wire_frame_seed()};
+  tick.checkpoints = {0xF0225EEDULL};
   cluster::Message msg;
-  msg.type = cluster::MsgType::kResults;
-  msg.seq = 4;
-  msg.payload = cluster::encode_wire_results(results);
+  msg.type = cluster::MsgType::kTick;
+  msg.seq = 3;
+  msg.payload = cluster::encode_tick_request(tick);
+  return cluster::encode_message(msg);
+}
+
+std::string wire_tick_reply_seed() {
+  cluster::TickReply reply;
+  reply.verdicts = {serve::Admission::kAccepted, serve::Admission::kRejectedQueueFull};
+  reply.results = cluster::decode_wire_results(wire_results_seed());
+  reply.states.emplace_back(0xF0225EEDULL, std::string("\x01\x02\x00\x03", 4));
+  cluster::Message msg;
+  msg.type = cluster::MsgType::kTickReply;
+  msg.seq = 3;
+  msg.payload = cluster::encode_tick_reply(reply);
   return cluster::encode_message(msg);
 }
 
@@ -220,8 +236,10 @@ std::vector<std::string> write_corpus(const std::string& dir) {
       {"params_gpnn.bin", params_seed()},
       {"report.json", report_json_seed()},
       {"quant_gpq8.bin", quant_tables_seed()},
-      {"wire_frame_gpwm.bin", wire_frame_seed()},
-      {"wire_results_gpwm.bin", wire_results_seed()},
+      {"wire_frame_gpwf.bin", wire_frame_seed()},
+      {"wire_results_gpwr.bin", wire_results_seed()},
+      {"wire_tick_gpwm.bin", wire_tick_seed()},
+      {"wire_tick_reply_gpwm.bin", wire_tick_reply_seed()},
       {"enroll_gpeb.bin", enroll_buffer_seed()},
       {"gallery_gpbg.bin", biometric_gallery_seed()},
   };

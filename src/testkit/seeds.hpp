@@ -38,13 +38,20 @@ std::string report_json_seed();
 /// quantized from deterministic weights.
 std::string quant_tables_seed();
 
-/// GPWM envelope carrying a GPWF wire frame (gp::cluster, DESIGN.md §12):
-/// a kFrame request as the router would put it on a worker link.
+/// GPWF wire frame (gp::cluster, DESIGN.md §12): one frame row as it rides
+/// inside a kTick batch.
 std::string wire_frame_seed();
 
-/// GPWM envelope carrying a GPWR results batch: a kResults reply as a
-/// worker would answer a pump.
+/// GPWR results batch: the results a worker nests in a kTickReply.
 std::string wire_results_seed();
+
+/// GPWM envelope carrying a GPWT tick request: two wire_frame_seed() rows
+/// and one checkpoint id, as the router puts a tick on a worker link.
+std::string wire_tick_seed();
+
+/// GPWM envelope carrying a GPWU tick reply: two verdicts, the
+/// wire_results_seed() results and one state blob, as a worker answers.
+std::string wire_tick_reply_seed();
 
 /// The gallery-calibration fingerprint enroll_buffer_seed() is saved under
 /// (gp::enroll binds GPEB blobs to a calibration); pass it as the expected

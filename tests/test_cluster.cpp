@@ -151,7 +151,7 @@ const std::vector<serve::ServeResult>& reference_results() {
 
 TEST(ClusterWire, MessageRoundTrip) {
   cluster::Message msg;
-  msg.type = cluster::MsgType::kFrame;
+  msg.type = cluster::MsgType::kTick;
   msg.seq = 0x0123456789ABCDEFULL;
   msg.payload = std::string("hello\0world", 11);
   const std::string bytes = cluster::encode_message(msg);
@@ -203,6 +203,68 @@ TEST(ClusterWire, FrameAndResultsRoundTrip) {
   EXPECT_TRUE(back[1].quality_rejected);
 }
 
+/// A canonical kTick request: two frame rows of two sessions, one checkpoint.
+cluster::TickRequest canonical_tick_request() {
+  cluster::TickRequest tick;
+  tick.op = cluster::TickOp::kPump;
+  tick.frames.push_back(cluster::encode_wire_frame(5, world().streams[0].frames[0]));
+  tick.frames.push_back(cluster::encode_wire_frame(6, world().streams[1].frames[0]));
+  tick.checkpoints = {5};
+  return tick;
+}
+
+/// A canonical kTickReply: one verdict per row, one result, one state blob.
+cluster::TickReply canonical_tick_reply() {
+  cluster::TickReply reply;
+  reply.verdicts = {serve::Admission::kAccepted, serve::Admission::kRejectedQueueFull};
+  reply.results.resize(1);
+  reply.results[0].session_id = 5;
+  reply.results[0].segment_ordinal = 1;
+  reply.results[0].gesture = 2;
+  reply.results[0].gesture_margin = 0.375;
+  reply.states.emplace_back(5, std::string("\x00GPSS", 5));
+  return reply;
+}
+
+/// One canonical envelope of each message the router and workers exchange
+/// on a tick.
+std::vector<std::string> canonical_envelopes() {
+  cluster::Message request;
+  request.type = cluster::MsgType::kTick;
+  request.seq = 17;
+  request.payload = cluster::encode_tick_request(canonical_tick_request());
+  cluster::Message reply;
+  reply.type = cluster::MsgType::kTickReply;
+  reply.seq = 17;
+  reply.payload = cluster::encode_tick_reply(canonical_tick_reply());
+  return {cluster::encode_message(request), cluster::encode_message(reply)};
+}
+
+TEST(ClusterWire, TickRequestAndReplyRoundTrip) {
+  const cluster::TickRequest tick = canonical_tick_request();
+  const cluster::TickRequest back =
+      cluster::decode_tick_request(cluster::encode_tick_request(tick));
+  EXPECT_EQ(back.op, cluster::TickOp::kPump);
+  EXPECT_EQ(back.frames, tick.frames);
+  EXPECT_EQ(back.checkpoints, tick.checkpoints);
+  EXPECT_EQ(cluster::decode_wire_frame(back.frames[1]).session_id, 6u);
+
+  const cluster::TickReply reply = canonical_tick_reply();
+  const cluster::TickReply got = cluster::decode_tick_reply(cluster::encode_tick_reply(reply));
+  EXPECT_EQ(got.verdicts, reply.verdicts);
+  ASSERT_EQ(got.results.size(), 1u);
+  EXPECT_EQ(got.results[0].session_id, 5u);
+  EXPECT_EQ(got.results[0].segment_ordinal, 1u);
+  EXPECT_EQ(got.results[0].gesture, 2);
+  EXPECT_EQ(got.results[0].gesture_margin, 0.375);
+  EXPECT_EQ(got.states, reply.states);
+
+  const cluster::TickRequest empty =
+      cluster::decode_tick_request(cluster::encode_tick_request({}));
+  EXPECT_TRUE(empty.frames.empty());
+  EXPECT_TRUE(empty.checkpoints.empty());
+}
+
 TEST(ClusterWire, ControlPayloadRoundTrips) {
   EXPECT_EQ(cluster::decode_ack(cluster::encode_ack(3)), 3u);
   EXPECT_EQ(cluster::decode_u64(cluster::encode_u64(0xDEADBEEFCAFEULL)),
@@ -219,30 +281,26 @@ TEST(ClusterWire, ControlPayloadRoundTrips) {
 // type/seq header words, so no corruption can silently alter routing or
 // defeat the worker's duplicate suppression.
 TEST(ClusterWire, EverySingleBitFlipIsRejectedTyped) {
-  cluster::Message msg;
-  msg.type = cluster::MsgType::kFrame;
-  msg.seq = 17;
-  msg.payload = cluster::encode_wire_frame(5, world().streams[0].frames[0]);
-  const std::string bytes = cluster::encode_message(msg);
-  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string corrupt = bytes;
-      corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-      EXPECT_THROW(cluster::decode_message(corrupt), SerializationError)
-          << "byte " << byte << " bit " << bit << " slipped through";
+  for (const std::string& bytes : canonical_envelopes()) {
+    SCOPED_TRACE("message " + std::string(cluster::msg_type_name(
+                                  cluster::decode_message(bytes).type)));
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string corrupt = bytes;
+        corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
+        EXPECT_THROW(cluster::decode_message(corrupt), SerializationError)
+            << "byte " << byte << " bit " << bit << " slipped through";
+      }
     }
   }
 }
 
 TEST(ClusterWire, EveryTruncationIsRejectedTyped) {
-  cluster::Message msg;
-  msg.type = cluster::MsgType::kResults;
-  msg.seq = 29;
-  msg.payload = cluster::encode_wire_results({serve::ServeResult{}});
-  const std::string bytes = cluster::encode_message(msg);
-  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    EXPECT_THROW(cluster::decode_message(bytes.substr(0, keep)), SerializationError)
-        << "truncation to " << keep << " bytes slipped through";
+  for (const std::string& bytes : canonical_envelopes()) {
+    for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+      EXPECT_THROW(cluster::decode_message(bytes.substr(0, keep)), SerializationError)
+          << "truncation to " << keep << " bytes slipped through";
+    }
   }
 }
 
@@ -255,6 +313,12 @@ TEST(ClusterWire, PayloadDecodersRejectCrossedTags) {
   EXPECT_THROW(cluster::decode_wire_results(frame_payload), SerializationError);
   EXPECT_THROW(cluster::decode_wire_frame(results_payload), SerializationError);
   EXPECT_THROW(cluster::decode_ack(cluster::encode_wire_results({})), SerializationError);
+  const std::string tick_payload = cluster::encode_tick_request(canonical_tick_request());
+  const std::string reply_payload = cluster::encode_tick_reply(canonical_tick_reply());
+  EXPECT_THROW(cluster::decode_tick_reply(tick_payload), SerializationError);
+  EXPECT_THROW(cluster::decode_tick_request(reply_payload), SerializationError);
+  EXPECT_THROW(cluster::decode_tick_request(frame_payload), SerializationError);
+  EXPECT_THROW(cluster::decode_wire_frame(tick_payload), SerializationError);
 }
 
 // -------------------------------------------------- state round-trips (§12)
@@ -462,6 +526,82 @@ TEST(ClusterServe, SpreadsSessionsAndCountsFrames) {
   for (const std::size_t owner : owners) ASSERT_LT(owner, 3u);
 }
 
+// The router batches: admission makes no RPC, and each tick is exactly one
+// request per live worker — frames, pump and due checkpoints included.
+TEST(ClusterServe, OneRequestPerWorkerPerTick) {
+  cluster::Cluster c(base_config(3));
+  const auto& streams = world().streams;
+  std::size_t max_frames = 0;
+  for (const auto& st : streams) max_frames = std::max(max_frames, st.frames.size());
+  std::size_t push_rpcs = 0;
+  std::size_t off_ticks = 0;
+  for (std::size_t f = 0; f < max_frames; ++f) {
+    const std::uint64_t before = c.stats().rpc_calls;
+    for (std::size_t i = 0; i < kSessions.size(); ++i) {
+      if (f < streams[i].frames.size()) c.push_frame(kSessions[i], streams[i].frames[f]);
+    }
+    push_rpcs += c.stats().rpc_calls - before;
+    const std::size_t alive = c.workers_alive();
+    const std::uint64_t before_pump = c.stats().rpc_calls;
+    c.pump();
+    if (c.stats().rpc_calls != before_pump + alive) ++off_ticks;
+  }
+  EXPECT_EQ(push_rpcs, 0u) << "push_frame made RPCs";
+  EXPECT_EQ(off_ticks, 0u) << "ticks that did not make one RPC per live worker";
+  const std::uint64_t before_drain = c.stats().rpc_calls;
+  c.drain();
+  EXPECT_EQ(c.stats().rpc_calls, before_drain + c.workers_alive());
+  const cluster::Cluster::Stats stats = c.stats();
+  EXPECT_GT(stats.checkpoints, 0u);  // checkpoint_every=8, folded into ticks
+  EXPECT_EQ(stats.workers_evicted, 0u);
+  EXPECT_EQ(stats.rpc_attempts, stats.rpc_calls);  // fault-free: no retries
+}
+
+// Worker-side queue-full rejections under batching: frames pushed with no
+// pump in between get exactly the verdicts a plain Server gives them (the
+// outbound batch ships frames-only at queue_cap × shards), the end-of-stream
+// answers match bitwise, and only accepted frames enter the replay buffer.
+TEST(ClusterServe, QueueFullAdmissionMatchesServer) {
+  const FrameSequence& frames = world().streams[0].frames;
+  const auto& spans = world().streams[0].truth_spans;
+  ASSERT_FALSE(spans.empty());
+  cluster::ClusterConfig cc = base_config(1);
+  // Small enough to overflow twice, large enough to admit the first gesture
+  // whole, so the drained answers are not empty.
+  cc.serve.queue_cap = spans[0].second + 8;
+  cc.checkpoint_every = 1000;  // keep every accepted frame in the replay buffer
+  const std::size_t n = 2 * cc.serve.queue_cap + 5;
+  ASSERT_GE(frames.size(), n);
+
+  serve::ServeConfig sc = cc.serve;
+  sc.batch_wait_us = 0;  // the worker's settings
+  sc.stale_after_ticks = 0;
+  serve::ModelRegistry registry(sc.system);
+  ASSERT_TRUE(registry.publish_file(world().model_path, sc.quant).has_value());
+  serve::Server server(sc, registry);
+  std::size_t server_rejected = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (server.push_frame(kSessions[0], frames[i]) != serve::Admission::kAccepted) {
+      ++server_rejected;
+    }
+  }
+  const std::vector<serve::ServeResult> expected = server.drain();
+  ASSERT_GT(server_rejected, 0u);
+  ASSERT_FALSE(expected.empty());
+
+  cluster::Cluster c(cc);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(c.push_frame(kSessions[0], frames[i]), serve::Admission::kAccepted);
+  }
+  // Router memory stays bounded: every full batch shipped frames-only.
+  EXPECT_EQ(c.stats().rpc_calls, n / cc.serve.queue_cap);
+  expect_bitwise_equal(expected, c.drain());
+  const cluster::Cluster::Stats stats = c.stats();
+  EXPECT_EQ(stats.frames_rejected_queue_full, server_rejected);
+  EXPECT_EQ(stats.frames_accepted, n - server_rejected);
+  EXPECT_EQ(c.replay_depth(kSessions[0]), n - server_rejected);
+}
+
 // SIGKILL the owner of a mid-stream session: the supervisor must evict the
 // dead worker, respawn the slot, migrate its sessions (checkpoint restore +
 // replay), and the final results must stay bitwise identical to the
@@ -612,6 +752,24 @@ TEST(ClusterConfig, FromEnvAppliesAndValidates) {
   EXPECT_EQ(cc.heartbeat_ms, cluster::ClusterConfig{}.heartbeat_ms);
   ::unsetenv("GP_CLUSTER_WORKERS");
   ::unsetenv("GP_CLUSTER_HEARTBEAT_MS");
+}
+
+// Workers run no enrollment hook, so GP_ENROLL under the cluster is refused
+// typed at construction instead of being silently inert.
+TEST(ClusterConfig, EnrollmentIsRefusedTyped) {
+  cluster::ClusterConfig cc = base_config(2);
+  cc.serve.enroll.enabled = true;
+  try {
+    cluster::Cluster c(cc);
+    ADD_FAILURE() << "an enrollment-enabled cluster was constructed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("GP_ENROLL"), std::string::npos) << e.what();
+  }
+  ::setenv("GP_ENROLL", "1", 1);
+  const cluster::ClusterConfig from_env = cluster::ClusterConfig::from_env(base_config(1));
+  ::unsetenv("GP_ENROLL");
+  ASSERT_TRUE(from_env.serve.enroll.enabled);
+  EXPECT_THROW(cluster::Cluster c(from_env), InvalidArgument);
 }
 
 TEST(ClusterConfig, EvictionReasonNames) {

@@ -53,6 +53,8 @@ std::vector<std::string> corpus() {
   seeds.push_back(testkit::quant_tables_seed());
   seeds.push_back(testkit::wire_frame_seed());
   seeds.push_back(testkit::wire_results_seed());
+  seeds.push_back(testkit::wire_tick_seed());
+  seeds.push_back(testkit::wire_tick_reply_seed());
   seeds.push_back(testkit::enroll_buffer_seed());
   seeds.push_back(testkit::biometric_gallery_seed());
   seeds.push_back("");  // the degenerate seed every parser must survive
@@ -189,31 +191,45 @@ TEST(FuzzSmoke, ClusterWireEnvelopeDecoder) {
 TEST(FuzzSmoke, ClusterWireFrameDecoder) {
   const auto outcome = testkit::fuzz_target(
       "cluster/decode_wire_frame", corpus(),
-      [](const std::string& payload) {
-        // The canonical corpus seed is a full envelope; unwrap when it
-        // decodes so the inner GPWF payload gets direct coverage too.
-        try {
-          const cluster::Message msg = cluster::decode_message(payload);
-          (void)cluster::decode_wire_frame(msg.payload);
-          return;
-        } catch (const SerializationError&) {
-        }
-        (void)cluster::decode_wire_frame(payload);
-      });
+      [](const std::string& payload) { (void)cluster::decode_wire_frame(payload); });
   expect_clean(outcome);
 }
 
 TEST(FuzzSmoke, ClusterWireResultsDecoder) {
   const auto outcome = testkit::fuzz_target(
       "cluster/decode_wire_results", corpus(),
+      [](const std::string& payload) { (void)cluster::decode_wire_results(payload); });
+  expect_clean(outcome);
+}
+
+// The tick batch decoders: the canonical seeds are full envelopes, so
+// unwrap when one decodes and give the inner GPWT/GPWU payload direct
+// coverage too. A request's rows are decoded as the worker decodes them.
+TEST(FuzzSmoke, ClusterWireTickRequestDecoder) {
+  const auto outcome = testkit::fuzz_target(
+      "cluster/decode_tick_request", corpus(),
       [](const std::string& payload) {
+        std::string inner = payload;
         try {
-          const cluster::Message msg = cluster::decode_message(payload);
-          (void)cluster::decode_wire_results(msg.payload);
-          return;
+          inner = cluster::decode_message(payload).payload;
         } catch (const SerializationError&) {
         }
-        (void)cluster::decode_wire_results(payload);
+        const cluster::TickRequest tick = cluster::decode_tick_request(inner);
+        for (const std::string& row : tick.frames) (void)cluster::decode_wire_frame(row);
+      });
+  expect_clean(outcome);
+}
+
+TEST(FuzzSmoke, ClusterWireTickReplyDecoder) {
+  const auto outcome = testkit::fuzz_target(
+      "cluster/decode_tick_reply", corpus(),
+      [](const std::string& payload) {
+        std::string inner = payload;
+        try {
+          inner = cluster::decode_message(payload).payload;
+        } catch (const SerializationError&) {
+        }
+        (void)cluster::decode_tick_reply(inner);
       });
   expect_clean(outcome);
 }
@@ -222,9 +238,9 @@ TEST(FuzzSmoke, ClusterWireResultsDecoder) {
 // the hardened-reader contract with the larger decoders.
 TEST(FuzzSmoke, ClusterWireControlDecoders) {
   std::vector<std::string> seeds = corpus();
-  // Canonical GPWK payloads (the committed corpus carries full GPWM
-  // envelopes, whose inner tags are GPWF/GPWR) so mutants explore near-valid
-  // control payloads too.
+  // Canonical GPWK payloads (the committed corpus carries none: its wire
+  // seeds are GPWF/GPWR payloads and GPWT/GPWU envelopes) so mutants explore
+  // near-valid control payloads too.
   seeds.push_back(cluster::encode_ack(3));
   seeds.push_back(cluster::encode_u64(0xF0225EEDULL));
   seeds.push_back(cluster::encode_state(7, std::string("\x01\x02\x00\x03", 4)));

@@ -177,6 +177,59 @@ TEST(Dbscan, MinPointsBoundary) {
   EXPECT_EQ(dbscan(three, DbscanParams{0.5, 4}).num_clusters, 0u);
 }
 
+/// Textbook DBSCAN whose BFS queues every neighbour of every core point,
+/// duplicates included: the labelling dbscan_into must reproduce exactly.
+std::vector<int> reference_dbscan_labels(const PointCloud& cloud, const DbscanParams& params) {
+  const std::size_t n = cloud.size();
+  const double eps2 = params.max_distance * params.max_distance;
+  const auto neighbours = [&](std::size_t i) {
+    std::vector<std::size_t> out;
+    for (std::size_t j = 0; j < n; ++j) {
+      if ((cloud[i].position - cloud[j].position).norm2() <= eps2) out.push_back(j);
+    }
+    return out;
+  };
+  std::vector<int> labels(n, kDbscanNoise);
+  std::vector<char> visited(n, 0);
+  int next_cluster = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (visited[i]) continue;
+    visited[i] = 1;
+    std::vector<std::size_t> queue = neighbours(i);
+    if (queue.size() < params.min_points) continue;
+    const int cluster = next_cluster++;
+    labels[i] = cluster;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t j = queue[head];
+      if (labels[j] == kDbscanNoise) labels[j] = cluster;
+      if (visited[j]) continue;
+      visited[j] = 1;
+      labels[j] = cluster;
+      const std::vector<std::size_t> more = neighbours(j);
+      if (more.size() >= params.min_points) queue.insert(queue.end(), more.begin(), more.end());
+    }
+  }
+  return labels;
+}
+
+// Each point enters the recycled BFS queue at most once, so the scratch a
+// streaming session keeps is bounded by the point count, while the labels
+// (cluster ids, border assignment) stay those of the textbook expansion.
+TEST(Dbscan, QueueBoundedByPointCountWithReferenceLabels) {
+  Rng rng(12);
+  for (int trial = 0; trial < 20; ++trial) {
+    PointCloud cloud = random_cloud(120, rng, Vec3(0, 0, 0), 0.6);
+    const PointCloud blob2 = random_cloud(60, rng, Vec3(1.5, 0, 0), 0.4);
+    cloud.insert(cloud.end(), blob2.begin(), blob2.end());
+    const DbscanParams params{0.35, static_cast<std::size_t>(3 + trial % 4)};
+    DbscanScratch scratch;
+    DbscanResult result;
+    dbscan_into(cloud, params, scratch, result);
+    EXPECT_EQ(result.labels, reference_dbscan_labels(cloud, params)) << "trial " << trial;
+    EXPECT_LE(scratch.queue.size(), cloud.size()) << "trial " << trial;
+  }
+}
+
 // ---- metric axioms ----------------------------------------------------------
 
 class MetricAxioms : public ::testing::TestWithParam<int> {};

@@ -214,7 +214,7 @@ void draw_dashboard(const health::HealthSnapshot& h, std::uint64_t model_version
   Table table({"window", "ticks", "results", "p50 ms", "p99 ms", "shed", "abstain",
                "occupancy"});
   auto add_window = [&](const health::WindowStats& w) {
-    table.add_row({w.label, std::to_string(w.ticks), std::to_string(w.results),
+    table.add_row({w.label, std::to_string(w.ticks), std::to_string(w.counts.segments),
                    Table::num(w.p50_ms, 3), Table::num(w.p99_ms, 3),
                    Table::pct(w.shed_rate), Table::pct(w.abstain_rate),
                    Table::pct(w.batch_occupancy)});

@@ -108,10 +108,9 @@ int main(int argc, char** argv) {
   }
   for (const serve::ServeResult& result : server.drain()) report(result);
 
-  const serve::SessionManager::Stats admitted = server.session_stats();
-  std::cout << "\nServed " << admitted.frames_accepted << " frames over "
-            << server.ticks() << " ticks; " << server.batch_stats().batches
-            << " micro-batches.\n";
+  const health::EventCounts served = server.stats();
+  std::cout << "\nServed " << served.frames_admitted << " frames over " << server.ticks()
+            << " ticks; " << served.batches << " micro-batches.\n";
   std::cout << "Detected " << detected << "/" << script.size() << " gestures; "
             << abstained << " abstained; " << correct_gesture << " correct gestures, "
             << correct_user << " correct user IDs.\n";

@@ -122,19 +122,19 @@ int main() {
               << tick_allocs.allocations() << " over " << kQuietTicks << " ticks)\n";
   }
 
-  // Final tallies come from the health monitor's SLO window (sized to the
-  // whole run by default), not ad-hoc local counters: what the dashboard
-  // and SLO evaluator see is what the demo reports.
-  const serve::SessionManager::Stats s = server.session_stats();
-  const serve::MicroBatcher::Stats b = server.batch_stats();
+  // Final tallies: the server's event totals, and the health monitor's SLO
+  // window (sized to the whole run by default). Both come from the one
+  // per-tick event tally that also feeds the gp.serve.* counters, so what
+  // the dashboard and SLO evaluator see is what the demo reports.
+  const health::EventCounts c = server.stats();
   const health::HealthSnapshot h = server.health_snapshot();
   const health::WindowStats& w = h.slo_window;
-  std::cout << "\n" << s.frames_accepted << " frames accepted, "
-            << s.frames_rejected_queue_full << " shed at admission, " << s.frames_shed_stale
-            << " shed stale; " << b.segments << " segments in " << b.batches
-            << " micro-batches; " << rejected << " pushes refused; final model v"
-            << registry.version() << ".\n";
-  std::cout << "health (" << w.ticks << " ticks): " << w.results << " answers, shed_rate="
+  std::cout << "\n" << c.frames_admitted << " frames admitted, " << c.frames_rejected
+            << " shed at admission, " << c.stale_sheds << " shed stale; " << c.segments
+            << " segments in " << c.batches << " micro-batches; " << rejected
+            << " pushes refused; final model v" << registry.version() << ".\n";
+  std::cout << "health (" << w.ticks << " ticks): " << w.counts.segments
+            << " answers, shed_rate="
             << w.shed_rate << ", abstain_rate=" << w.abstain_rate << ", quality_reject_rate="
             << w.quality_reject_rate << ", p99=" << w.p99_ms << " ms, verdict="
             << health::verdict_name(h.verdict) << ", flight-recorder events: "

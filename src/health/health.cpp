@@ -123,31 +123,13 @@ void TickCell::clear() {
 
 void WindowAgg::add(const TickCell& cell) {
   ++ticks;
-  frames_admitted += cell.frames_admitted;
-  frames_rejected += cell.frames_rejected;
-  stale_sheds += cell.stale_sheds;
-  fault_drops += cell.fault_drops;
-  results += cell.results;
-  abstained += cell.abstained;
-  quality_rejected += cell.quality_rejected;
-  no_model += cell.no_model;
-  batches += cell.batches;
-  batch_segments += cell.batch_segments;
+  counts += cell.counts;
   for (std::size_t b = 0; b < kLatencyBuckets; ++b) lat[b] += cell.lat[b];
 }
 
 void WindowAgg::sub(const TickCell& cell) {
   --ticks;
-  frames_admitted -= cell.frames_admitted;
-  frames_rejected -= cell.frames_rejected;
-  stale_sheds -= cell.stale_sheds;
-  fault_drops -= cell.fault_drops;
-  results -= cell.results;
-  abstained -= cell.abstained;
-  quality_rejected -= cell.quality_rejected;
-  no_model -= cell.no_model;
-  batches -= cell.batches;
-  batch_segments -= cell.batch_segments;
+  counts -= cell.counts;
   for (std::size_t b = 0; b < kLatencyBuckets; ++b) lat[b] -= cell.lat[b];
 }
 
@@ -177,17 +159,18 @@ double WindowAgg::quantile_us(double q) const {
 }
 
 double WindowAgg::sli(SliMetric m, std::uint64_t batch_max) const {
+  const EventCounts& c = counts;
   switch (m) {
     case SliMetric::kP50Ms: return quantile_us(0.5) / 1000.0;
     case SliMetric::kP95Ms: return quantile_us(0.95) / 1000.0;
     case SliMetric::kP99Ms: return quantile_us(0.99) / 1000.0;
     case SliMetric::kShedRate:
-      return rate(frames_rejected + stale_sheds, frames_admitted + frames_rejected);
-    case SliMetric::kAbstainRate: return rate(abstained, results);
-    case SliMetric::kQualityRejectRate: return rate(quality_rejected, results);
-    case SliMetric::kNoModelRate: return rate(no_model, results);
-    case SliMetric::kFaultRate: return rate(fault_drops, frames_admitted);
-    case SliMetric::kBatchOccupancy: return rate(batch_segments, batches * batch_max);
+      return rate(c.frames_rejected + c.stale_sheds, c.frames_admitted + c.frames_rejected);
+    case SliMetric::kAbstainRate: return rate(c.abstained, c.segments);
+    case SliMetric::kQualityRejectRate: return rate(c.quality_rejected, c.segments);
+    case SliMetric::kNoModelRate: return rate(c.no_model, c.segments);
+    case SliMetric::kFaultRate: return rate(c.fault_drops, c.frames_admitted);
+    case SliMetric::kBatchOccupancy: return rate(c.segments, c.batches * batch_max);
   }
   return 0.0;
 }
@@ -217,9 +200,7 @@ HealthMonitor::HealthMonitor(const HealthConfig& config, std::uint64_t batch_max
   }
 }
 
-void HealthMonitor::record_request(const RequestSample& sample, bool abstained,
-                                   bool quality_rejected, bool no_model,
-                                   std::uint64_t model_version) {
+void HealthMonitor::record_request(const RequestSample& sample, std::uint64_t model_version) {
   if (!config_.enabled) return;
   RequestSample s = sample;
   if (config_.debug_slow_stage >= 0 &&
@@ -228,10 +209,6 @@ void HealthMonitor::record_request(const RequestSample& sample, bool abstained,
     s.stage_us[static_cast<std::size_t>(config_.debug_slow_stage)] += config_.debug_slow_us;
     s.total_us += config_.debug_slow_us;
   }
-  ++open_.results;
-  open_.abstained += abstained ? 1 : 0;
-  open_.quality_rejected += quality_rejected ? 1 : 0;
-  open_.no_model += no_model ? 1 : 0;
   ++open_.lat[latency_bucket(s.total_us)];
   for (VersionCount& vc : open_.versions) {
     if (vc.count == 0 || vc.version == model_version) {
@@ -249,19 +226,14 @@ void HealthMonitor::record_request(const RequestSample& sample, bool abstained,
 
 void HealthMonitor::record_batch(std::uint64_t segments, std::uint64_t model_version) {
   if (!config_.enabled) return;
-  ++open_.batches;
-  open_.batch_segments += segments;
   FlightRecorder::global().record(EventKind::kBatchFlush, open_.tick, segments, model_version);
 }
 
-void HealthMonitor::close_tick(std::uint64_t tick) {
+void HealthMonitor::close_tick(std::uint64_t tick, const EventCounts& counts) {
   if (!config_.enabled) return;
   open_.tick = tick;
   open_.end_ns = monotonic_ns();
-  open_.frames_admitted += admitted_pending_.exchange(0, std::memory_order_relaxed);
-  open_.frames_rejected += rejected_pending_.exchange(0, std::memory_order_relaxed);
-  open_.stale_sheds += stale_pending_.exchange(0, std::memory_order_relaxed);
-  open_.fault_drops += fault_pending_.exchange(0, std::memory_order_relaxed);
+  open_.counts = counts;
 
   const std::uint64_t cap = ring_.size();
   ring_[static_cast<std::size_t>(closed_ % cap)] = open_;
@@ -302,7 +274,7 @@ void HealthMonitor::close_tick(std::uint64_t tick) {
   }
 
   ticks_counter_->add(1);
-  requests_counter_->add(open_.results);
+  requests_counter_->add(open_.counts.segments);
   verdict_gauge_->set(static_cast<double>(tracker_.verdict()));
   p99_gauge_->set(agg_.quantile_us(0.99));
   shed_gauge_->set(agg_.sli(SliMetric::kShedRate, batch_max_));
@@ -316,15 +288,7 @@ WindowStats HealthMonitor::window_stats_from(const WindowAgg& agg, const char* l
   WindowStats w;
   w.label = label;
   w.ticks = agg.ticks;
-  w.frames_admitted = agg.frames_admitted;
-  w.frames_rejected = agg.frames_rejected;
-  w.stale_sheds = agg.stale_sheds;
-  w.fault_drops = agg.fault_drops;
-  w.results = agg.results;
-  w.abstained = agg.abstained;
-  w.quality_rejected = agg.quality_rejected;
-  w.no_model = agg.no_model;
-  w.batches = agg.batches;
+  w.counts = agg.counts;
   w.p50_ms = agg.sli(SliMetric::kP50Ms, batch_max_);
   w.p95_ms = agg.sli(SliMetric::kP95Ms, batch_max_);
   w.p99_ms = agg.sli(SliMetric::kP99Ms, batch_max_);
@@ -430,15 +394,13 @@ namespace {
 
 void window_json(std::ostream& out, const WindowStats& w, const std::string& pad) {
   namespace json = obs::json;
-  out << pad << "{\"window\": \"" << json::escape(w.label) << "\", \"ticks\": " << w.ticks
-      << ", \"frames_admitted\": " << w.frames_admitted
-      << ", \"frames_rejected\": " << w.frames_rejected
-      << ", \"stale_sheds\": " << w.stale_sheds << ", \"fault_drops\": " << w.fault_drops
-      << ", \"results\": " << w.results << ", \"abstained\": " << w.abstained
-      << ", \"quality_rejected\": " << w.quality_rejected << ", \"no_model\": " << w.no_model
-      << ", \"batches\": " << w.batches << ",\n" << pad
-      << " \"p50_ms\": " << json::number(w.p50_ms) << ", \"p95_ms\": " << json::number(w.p95_ms)
-      << ", \"p99_ms\": " << json::number(w.p99_ms)
+  out << pad << "{\"window\": \"" << json::escape(w.label) << "\", \"ticks\": " << w.ticks;
+  for (const EventInfo& e : kEvents) {
+    if (e.window_key != nullptr) out << ", \"" << e.window_key << "\": " << w.counts.*e.member;
+  }
+  out << ",\n"
+      << pad << " \"p50_ms\": " << json::number(w.p50_ms)
+      << ", \"p95_ms\": " << json::number(w.p95_ms) << ", \"p99_ms\": " << json::number(w.p99_ms)
       << ", \"shed_rate\": " << json::number(w.shed_rate)
       << ", \"abstain_rate\": " << json::number(w.abstain_rate)
       << ", \"quality_reject_rate\": " << json::number(w.quality_reject_rate)

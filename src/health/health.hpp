@@ -1,29 +1,29 @@
 // gp::health — per-request tracing, rolling SLI windows, SLO verdicts, and
 // the serve-stack flight recorder (DESIGN.md §10).
 //
-// The HealthMonitor rides the serve tick: producers count admissions and
-// sheds through relaxed atomics, the pump thread records per-request stage
-// breakdowns and batch flushes into an *open* tick cell, and close_tick()
-// folds the cell into a preallocated ring plus an incrementally-maintained
-// rolling-window aggregate that feeds the SLO evaluator. Nothing on the tick
-// path allocates (ServeSteadyTickZeroAlloc holds with health enabled) and
-// nothing here ever feeds back into serve results — health on/off is
-// bitwise-invisible to ServeResult streams.
+// The HealthMonitor rides the serve tick: the pump thread records
+// per-request stage breakdowns into an *open* tick cell, and close_tick()
+// takes the tick's EventCounts delta (counted once by the server's shards
+// and batcher), folds the cell into a preallocated ring plus an
+// incrementally-maintained rolling-window aggregate that feeds the SLO
+// evaluator. Nothing on the tick path allocates (ServeSteadyTickZeroAlloc
+// holds with health enabled) and nothing here ever feeds back into serve
+// results — health on/off is bitwise-invisible to ServeResult streams.
 //
-// Threading contract: on_frame_admitted / on_frame_rejected / on_stale_shed /
-// on_fault_drop are safe from any thread; record_request / record_batch /
-// close_tick belong to the pump thread; snapshot() / exemplar_trace_json()
-// must not race close_tick (call them between pumps, like Server::stats).
+// Threading contract: every method belongs to the pump thread —
+// record_request / record_batch / close_tick run inside a pump, and
+// snapshot() / exemplar_trace_json() must not race close_tick (call them
+// between pumps, like Server::stats).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "health/events.hpp"
 #include "health/slo.hpp"
 
 namespace gp::obs {
@@ -107,16 +107,7 @@ struct VersionCount {
 struct TickCell {
   std::uint64_t tick = 0;
   std::uint64_t end_ns = 0;
-  std::uint64_t frames_admitted = 0;
-  std::uint64_t frames_rejected = 0;
-  std::uint64_t stale_sheds = 0;
-  std::uint64_t fault_drops = 0;
-  std::uint64_t results = 0;
-  std::uint64_t abstained = 0;
-  std::uint64_t quality_rejected = 0;
-  std::uint64_t no_model = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batch_segments = 0;
+  EventCounts counts;
   std::array<std::uint32_t, kLatencyBuckets> lat{};
   std::array<VersionCount, kVersionSlots> versions{};
   bool has_exemplar = false;
@@ -130,16 +121,7 @@ struct TickCell {
 /// scan for the wall-clock snapshot windows.
 struct WindowAgg {
   std::uint64_t ticks = 0;
-  std::uint64_t frames_admitted = 0;
-  std::uint64_t frames_rejected = 0;
-  std::uint64_t stale_sheds = 0;
-  std::uint64_t fault_drops = 0;
-  std::uint64_t results = 0;
-  std::uint64_t abstained = 0;
-  std::uint64_t quality_rejected = 0;
-  std::uint64_t no_model = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batch_segments = 0;
+  EventCounts counts;
   std::array<std::uint64_t, kLatencyBuckets> lat{};
 
   void add(const TickCell& cell);
@@ -155,15 +137,7 @@ struct WindowAgg {
 struct WindowStats {
   std::string label;  ///< "slo" | "1s" | "10s" | "60s"
   std::uint64_t ticks = 0;
-  std::uint64_t frames_admitted = 0;
-  std::uint64_t frames_rejected = 0;
-  std::uint64_t stale_sheds = 0;
-  std::uint64_t fault_drops = 0;
-  std::uint64_t results = 0;
-  std::uint64_t abstained = 0;
-  std::uint64_t quality_rejected = 0;
-  std::uint64_t no_model = 0;
-  std::uint64_t batches = 0;
+  EventCounts counts;  ///< JSON columns: the events with a window_key
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -212,19 +186,14 @@ class HealthMonitor {
   bool enabled() const { return config_.enabled; }
   const HealthConfig& config() const { return config_; }
 
-  // Any-thread producers (single relaxed fetch_add when enabled).
-  void on_frame_admitted() { bump(admitted_pending_); }
-  void on_frame_rejected() { bump(rejected_pending_); }
-  void on_stale_shed(std::uint64_t n) { bump(stale_pending_, n); }
-  void on_fault_drop() { bump(fault_pending_); }
-
   // Pump-thread recorders.
-  void record_request(const RequestSample& sample, bool abstained, bool quality_rejected,
-                      bool no_model, std::uint64_t model_version);
+  void record_request(const RequestSample& sample, std::uint64_t model_version);
+  /// Flight-recorder entry for one flush.
   void record_batch(std::uint64_t segments, std::uint64_t model_version);
-  /// Folds the open cell into the ring, advances the SLO window, evaluates
-  /// the verdict, and publishes gp.health.* metrics. Allocation-free.
-  void close_tick(std::uint64_t tick);
+  /// Stores the tick's event delta in the open cell, folds the cell into the
+  /// ring, advances the SLO window, evaluates the verdict, and publishes
+  /// gp.health.* metrics. Allocation-free.
+  void close_tick(std::uint64_t tick, const EventCounts& counts);
 
   // Off the tick path.
   HealthSnapshot snapshot() const;
@@ -240,9 +209,6 @@ class HealthMonitor {
   static constexpr std::size_t kExemplarRing = 32;
 
  private:
-  void bump(std::atomic<std::uint64_t>& slot, std::uint64_t n = 1) {
-    if (config_.enabled) slot.fetch_add(n, std::memory_order_relaxed);
-  }
   WindowStats window_stats_from(const WindowAgg& agg, const char* label,
                                 const std::vector<VersionCount>& mix) const;
 
@@ -259,11 +225,6 @@ class HealthMonitor {
 
   std::array<ExemplarRecord, kExemplarRing> exemplars_{};
   std::uint64_t exemplar_count_ = 0;
-
-  std::atomic<std::uint64_t> admitted_pending_{0};
-  std::atomic<std::uint64_t> rejected_pending_{0};
-  std::atomic<std::uint64_t> stale_pending_{0};
-  std::atomic<std::uint64_t> fault_pending_{0};
 
   obs::Counter* ticks_counter_;
   obs::Counter* requests_counter_;

@@ -87,7 +87,7 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
 
   const std::size_t base = results.size();
   results.resize(base + batch.size());
-  Stats delta;
+  Stats delta;  // this flush's events, added to stats_ under one lock
   delta.batches = 1;
   delta.segments = batch.size();
 
@@ -112,7 +112,6 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
       r.user = kAbstain;
       r.abstained = true;
       ++delta.no_model;
-      GP_COUNTER_ADD("gp.serve.no_model", 1);
     } else if (refuse_segment(seg.empty_cloud || seg.variant_count == 0, seg.quality,
                               /*refuse_degraded=*/true)) {
       // Serve always refuses degraded segments (classify() only when the
@@ -122,7 +121,6 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
       r.abstained = true;
       r.quality_rejected = true;
       ++delta.quality_rejected;
-      GP_COUNTER_ADD("gp.serve.rejected.quality", 1);
     } else {
       live.push_back(i);
       scratch_.counts.push_back(seg.variant_count);
@@ -163,7 +161,6 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
         r.abstained = true;
         r.novelty_rejected = true;
         ++delta.novelty_rejected;
-        GP_COUNTER_ADD("gp.serve.rejected.novelty", 1);
       }
     }
   }
@@ -174,18 +171,11 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.batches += delta.batches;
-    stats_.segments += delta.segments;
-    stats_.quality_rejected += delta.quality_rejected;
-    stats_.abstained += delta.abstained;
-    stats_.no_model += delta.no_model;
-    stats_.novelty_rejected += delta.novelty_rejected;
+    stats_ += delta;
   }
-  GP_COUNTER_ADD("gp.serve.batches", 1);
   if (snapshot != nullptr && snapshot->quant == nn::QuantMode::kInt8) {
     GP_COUNTER_ADD("gp.serve.batches.quant", 1);
   }
-  GP_COUNTER_ADD("gp.serve.segments", batch.size());
   const auto elapsed =
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start);
   static obs::Histogram& batch_latency_hist = obs::histogram("gp.serve.batch.latency_us");
@@ -200,7 +190,6 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
     const std::uint64_t epilogue_us = flush_us > forward_us ? flush_us - forward_us : 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const PendingSegment& seg = *batch[i].segment;
-      const ServeResult& r = results[base + i];
       health::RequestSample sample;
       sample.request_id = seg.request_id;
       sample.session_id = seg.session_id;
@@ -215,8 +204,7 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
       sample.stage_us[static_cast<std::size_t>(health::Stage::kEpilogue)] = epilogue_us;
       sample.total_us = seg.admit_ns != 0 ? sat_us(flush_end_ns, seg.admit_ns)
                                           : sat_us(flush_end_ns, batch[i].submit_ns);
-      monitor_->record_request(sample, r.abstained, r.quality_rejected, snapshot == nullptr,
-                               version);
+      monitor_->record_request(sample, version);
     }
     monitor_->record_batch(batch.size(), version);
   }

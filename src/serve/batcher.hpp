@@ -65,15 +65,9 @@ class MicroBatcher {
   /// path is byte-identical to a build without the enrollment layer.
   void set_enrollment_hook(EnrollmentHook* hook) { enroll_ = hook; }
 
-  /// Monotonic tallies (batches flushed, results by disposition).
-  struct Stats {
-    std::uint64_t batches = 0;
-    std::uint64_t segments = 0;
-    std::uint64_t quality_rejected = 0;
-    std::uint64_t abstained = 0;
-    std::uint64_t no_model = 0;  ///< answered while no snapshot was published
-    std::uint64_t novelty_rejected = 0;  ///< open-set gate fired (GP_ENROLL)
-  };
+  /// Monotonic flush tallies: batches, segments and their dispositions
+  /// (the frame events stay 0).
+  using Stats = health::EventCounts;
   Stats stats() const;
 
  private:

@@ -18,13 +18,26 @@ Server::Server(const ServeConfig& config, ModelRegistry& registry, exec::ExecCon
   // Force the global recorder's ring into existence now, so a steady tick
   // never pays its construction (ServeSteadyTickZeroAlloc).
   (void)health::FlightRecorder::global().capacity();
+  for (std::size_t i = 0; i < health::kEventCount; ++i) {
+    event_counters_[i] = &obs::counter(health::kEvents[i].counter);
+  }
 }
 
 Admission Server::push_frame(std::uint64_t session_id, const FrameView& frame) {
-  const Admission verdict =
-      sessions_.enqueue(session_id, frame, tick_.load(std::memory_order_relaxed));
-  if (verdict == Admission::kAccepted) GP_COUNTER_ADD("gp.serve.frames", 1);
-  return verdict;
+  return sessions_.enqueue(session_id, frame, tick_.load(std::memory_order_relaxed));
+}
+
+void Server::close_tick(std::uint64_t tick) {
+  const health::EventCounts total = stats();
+  const health::EventCounts delta = total - folded_;
+  folded_ = total;
+  for (std::size_t i = 0; i < health::kEventCount; ++i) {
+    event_counters_[i]->add(delta.*health::kEvents[i].member);
+  }
+  monitor_.close_tick(tick, delta);
+  // Enrollment barrier: all clustering / fine-tune / publish mutations run
+  // here, after the flush, so gate() stays read-only within the tick.
+  if (enroll_ != nullptr) enroll_->close_tick(tick);
 }
 
 std::vector<ServeResult> Server::pump() {
@@ -39,10 +52,7 @@ std::vector<ServeResult> Server::pump() {
   pending_gauge.set(static_cast<double>(batcher_.pending()));
   obs::publish_mem_metrics();
   std::vector<ServeResult> results = batcher_.poll(false);
-  monitor_.close_tick(tick);
-  // Enrollment barrier: all clustering / fine-tune / publish mutations run
-  // here, after the flush, so gate() stays read-only within the tick.
-  if (enroll_ != nullptr) enroll_->close_tick(tick);
+  close_tick(tick);
   return results;
 }
 
@@ -54,19 +64,8 @@ std::vector<ServeResult> Server::drain() {
   batcher_.submit(segments_scratch_);
   obs::publish_mem_metrics();
   std::vector<ServeResult> results = batcher_.poll(true);
-  monitor_.close_tick(tick);
-  if (enroll_ != nullptr) enroll_->close_tick(tick);
+  close_tick(tick);
   return results;
-}
-
-std::vector<ServeResult> Server::end_session(std::uint64_t session_id) {
-  const std::uint64_t tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Queued frames (all shards) must segment before the flush so the ending
-  // session's tail frames are not dropped on the floor.
-  sessions_.drain_into(*ctx_, tick, segments_scratch_);
-  sessions_.finish_session(session_id, tick, segments_scratch_);
-  batcher_.submit(segments_scratch_);
-  return batcher_.poll(true);
 }
 
 }  // namespace gp::serve

@@ -9,12 +9,17 @@
 // flushes in-progress gestures in every session and force-flushes the
 // batcher.
 //
+// Event tally (DESIGN.md §8.3): every frame and segment fate is counted once,
+// in the owning shard or the batcher. At each tick close the server folds the
+// delta of those totals into the health monitor and the gp.serve.* counters.
+//
 // Threading contract: push_frame is thread-safe against everything;
-// pump/drain/end_session must be externally serialized (one pump thread).
+// pump/drain must be externally serialized (one pump thread).
 // Model hot-swap (ModelRegistry::publish*) is safe at any time — the
 // batcher pins one snapshot per flush.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -49,11 +54,6 @@ class Server {
   /// every session, and force-flushes the batcher.
   std::vector<ServeResult> drain();
 
-  /// Ends one client's stream (its in-progress gesture is flushed). Also
-  /// force-flushes the batcher, so results of *other* sessions' pending
-  /// segments may ride along.
-  std::vector<ServeResult> end_session(std::uint64_t session_id);
-
   /// Session-handoff passthroughs (gp::cluster failover, DESIGN.md §12).
   /// Serialize with pump/drain and only call them quiescent — right after a
   /// pump, before any new push — so the blob captures the whole stream.
@@ -65,6 +65,8 @@ class Server {
   }
 
   std::uint64_t ticks() const { return tick_.load(std::memory_order_relaxed); }
+  /// Every event so far: the shards' frame tallies plus the batcher's.
+  health::EventCounts stats() const { return sessions_.stats() + batcher_.stats(); }
   SessionManager::Stats session_stats() const { return sessions_.stats(); }
   MicroBatcher::Stats batch_stats() const { return batcher_.stats(); }
   const SessionManager& sessions() const { return sessions_; }
@@ -85,6 +87,10 @@ class Server {
   }
 
  private:
+  /// Tick-close fold: hands the event delta since the previous close to the
+  /// monitor and the gp.serve.* counters, then runs the enrollment barrier.
+  void close_tick(std::uint64_t tick);
+
   ServeConfig config_;
   ModelRegistry* registry_;
   exec::ExecContext* ctx_;
@@ -94,6 +100,10 @@ class Server {
   MicroBatcher batcher_;
   EnrollmentHook* enroll_ = nullptr;
   std::atomic<std::uint64_t> tick_{0};
+  /// stats() at the previous tick close (pump thread only).
+  health::EventCounts folded_;
+  /// gp.serve.* counter per health::kEvents entry, resolved at construction.
+  std::array<obs::Counter*, health::kEventCount> event_counters_{};
   /// Recycled segment carrier between drain_into and submit (pump thread
   /// only; submit moves the handles out and clears it).
   std::vector<SegmentPtr> segments_scratch_;

@@ -6,7 +6,6 @@
 #include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "health/flightrec.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace gp::serve {
@@ -20,12 +19,11 @@ constexpr std::uint64_t kFaultSeedIndex = 0xFAULL;
 }  // namespace
 
 StreamSession::StreamSession(std::uint64_t session_id, const ServeConfig& config,
-                             mem::Pool<PendingSegment>& pool, health::HealthMonitor* monitor)
+                             mem::Pool<PendingSegment>& pool)
     : id_(session_id),
       session_seed_(exec::child_seed(config.seed, session_id)),
       config_(&config),
       pool_(&pool),
-      monitor_(monitor),
       segmenter_(config.preprocess.segmentation),
       preprocessor_(config.preprocess) {
   if (config.session_faults.has_value()) {
@@ -37,7 +35,7 @@ StreamSession::StreamSession(std::uint64_t session_id, const ServeConfig& config
   }
 }
 
-void StreamSession::push_frame(const FrameView& frame, std::uint64_t tick,
+bool StreamSession::push_frame(const FrameView& frame, std::uint64_t tick,
                                std::vector<SegmentPtr>& out, std::uint64_t admit_ns,
                                std::uint64_t drained_ns) {
   if (injector_ != nullptr) {
@@ -51,15 +49,15 @@ void StreamSession::push_frame(const FrameView& frame, std::uint64_t tick,
     if (!delivered.has_value()) {
       // Frame dropped/lost on the degraded link — a health fact, not a
       // result: the injector's own RNG already consumed this decision.
-      if (monitor_ != nullptr) monitor_->on_fault_drop();
       health::FlightRecorder::global().record(health::EventKind::kFaultDrop, tick, id_);
-      return;
+      return false;
     }
     segmenter_.push(*delivered);
   } else {
     segmenter_.push(frame);
   }
   drain_completed(tick, out, admit_ns, drained_ns);
+  return true;
 }
 
 void StreamSession::finish(std::uint64_t tick, std::vector<SegmentPtr>& out) {
@@ -161,9 +159,7 @@ Admission SessionManager::enqueue(std::uint64_t session_id, const FrameView& fra
   Shard& shard = *shards_[shard_of(session_id)];
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.queue.size() >= config_.queue_cap) {
-    ++shard.rejected_queue_full;
-    GP_COUNTER_ADD("gp.serve.rejected.queue_full", 1);
-    if (health_on) monitor_->on_frame_rejected();
+    ++shard.counts.frames_rejected;
     health::FlightRecorder::global().record(health::EventKind::kAdmissionReject, tick,
                                             session_id);
     return Admission::kRejectedQueueFull;
@@ -171,17 +167,14 @@ Admission SessionManager::enqueue(std::uint64_t session_id, const FrameView& fra
   QueuedFrame qf;
   qf.session_id = session_id;
   qf.tick = tick;
-  if (health_on) {
-    qf.admit_ns = admit_clock_ns_.load(std::memory_order_relaxed);
-    monitor_->on_frame_admitted();
-  }
+  if (health_on) qf.admit_ns = admit_clock_ns_.load(std::memory_order_relaxed);
   qf.frame.frame_index = frame.frame_index;
   qf.frame.timestamp = frame.timestamp;
   // The single copy on the frame path: points land in the shard's epoch
   // arena; everything downstream reads this stable view.
   qf.frame.points = shard.arenas[shard.epoch].copy_span(frame.points);
   shard.queue.push_back(qf);
-  ++shard.accepted;
+  ++shard.counts.frames_admitted;
   return Admission::kAccepted;
 }
 
@@ -201,6 +194,7 @@ void SessionManager::drain_shard(std::size_t s) {
   const std::uint64_t drained_ns =
       monitor_ != nullptr && monitor_->enabled() ? monotonic_ns() : 0;
   std::uint64_t shed = 0;
+  std::uint64_t dropped = 0;
   {
     std::lock_guard<std::mutex> session_lock(shard.session_mu);
     for (const QueuedFrame& qf : shard.drain_queue) {
@@ -209,17 +203,20 @@ void SessionManager::drain_shard(std::size_t s) {
         ++shed;  // deadline-aware drop: too old to be worth segmenting late
         continue;
       }
-      session(shard, qf.session_id)
-          .push_frame(qf.frame, tick, shard.out_scratch, qf.admit_ns, drained_ns);
+      if (!session(shard, qf.session_id)
+               .push_frame(qf.frame, tick, shard.out_scratch, qf.admit_ns, drained_ns)) {
+        ++dropped;
+      }
     }
   }
   shard.drain_queue.clear();
   if (shed > 0) {
-    GP_COUNTER_ADD("gp.serve.shed.stale", shed);
-    if (monitor_ != nullptr) monitor_->on_stale_shed(shed);
     health::FlightRecorder::global().record(health::EventKind::kStaleShed, tick, s, shed);
+  }
+  if (shed > 0 || dropped > 0) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.shed_stale += shed;
+    shard.counts.stale_sheds += shed;
+    shard.counts.fault_drops += dropped;
   }
 }
 
@@ -241,20 +238,6 @@ void SessionManager::drain_into(exec::ExecContext& ctx, std::uint64_t tick,
   if (monitor_ != nullptr && monitor_->enabled()) {
     admit_clock_ns_.store(monotonic_ns(), std::memory_order_relaxed);
   }
-}
-
-std::vector<SegmentPtr> SessionManager::drain(exec::ExecContext& ctx, std::uint64_t tick) {
-  std::vector<SegmentPtr> out;
-  drain_into(ctx, tick, out);
-  return out;
-}
-
-void SessionManager::finish_session(std::uint64_t session_id, std::uint64_t tick,
-                                    std::vector<SegmentPtr>& out) {
-  Shard& shard = *shards_[shard_of(session_id)];
-  std::lock_guard<std::mutex> lock(shard.session_mu);
-  auto it = shard.sessions.find(session_id);
-  if (it != shard.sessions.end()) it->second.finish(tick, out);
 }
 
 void SessionManager::finish_all(std::uint64_t tick, std::vector<SegmentPtr>& out) {
@@ -285,9 +268,7 @@ SessionManager::Stats SessionManager::stats() const {
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    total.frames_accepted += shard.accepted;
-    total.frames_rejected_queue_full += shard.rejected_queue_full;
-    total.frames_shed_stale += shard.shed_stale;
+    total += shard.counts;
   }
   return total;
 }
@@ -314,7 +295,7 @@ StreamSession& SessionManager::session(Shard& shard, std::uint64_t session_id) {
   if (it == shard.sessions.end()) {
     it = shard.sessions
              .emplace(std::piecewise_construct, std::forward_as_tuple(session_id),
-                      std::forward_as_tuple(session_id, config_, segment_pool_, monitor_))
+                      std::forward_as_tuple(session_id, config_, segment_pool_))
              .first;
   }
   return it->second;

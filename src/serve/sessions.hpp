@@ -97,13 +97,14 @@ using SegmentPtr = mem::PoolPtr<PendingSegment>;
 class StreamSession {
  public:
   StreamSession(std::uint64_t session_id, const ServeConfig& config,
-                mem::Pool<PendingSegment>& pool, health::HealthMonitor* monitor = nullptr);
+                mem::Pool<PendingSegment>& pool);
 
   /// Feeds one frame (through the per-session fault injector when armed);
   /// appends any segments the push completed to `out`. `admit_ns` /
   /// `drained_ns` are health timestamps for the request stage breakdown
-  /// (0 = unknown / monitor off).
-  void push_frame(const FrameView& frame, std::uint64_t tick, std::vector<SegmentPtr>& out,
+  /// (0 = unknown / monitor off). Returns false when the injector dropped
+  /// the frame (a fault drop, counted by the caller).
+  bool push_frame(const FrameView& frame, std::uint64_t tick, std::vector<SegmentPtr>& out,
                   std::uint64_t admit_ns = 0, std::uint64_t drained_ns = 0);
 
   /// End-of-stream: flushes a gesture still in progress.
@@ -133,7 +134,6 @@ class StreamSession {
   std::uint64_t session_seed_;  ///< child_seed(serve_seed, id)
   const ServeConfig* config_;
   mem::Pool<PendingSegment>* pool_;
-  health::HealthMonitor* monitor_;  ///< may be null (monitor-less tests)
   std::unique_ptr<faults::FaultInjector> injector_;  ///< per-session faults
   GestureSegmenter segmenter_;
   Preprocessor preprocessor_;
@@ -149,8 +149,8 @@ class StreamSession {
 /// Sharded session table with bounded ingress queues.
 class SessionManager {
  public:
-  /// `monitor` (optional) receives admission/shed/fault tallies and the
-  /// per-request health timestamps; it must outlive the manager.
+  /// `monitor` (optional) switches on the per-request health timestamps; it
+  /// must outlive the manager.
   explicit SessionManager(const ServeConfig& config,
                           health::HealthMonitor* monitor = nullptr);
 
@@ -165,14 +165,8 @@ class SessionManager {
   /// in deterministic order (shard index, then completion order).
   void drain_into(exec::ExecContext& ctx, std::uint64_t tick, std::vector<SegmentPtr>& out);
 
-  /// Allocating convenience wrapper over drain_into.
-  std::vector<SegmentPtr> drain(exec::ExecContext& ctx, std::uint64_t tick);
-
-  /// Flushes an in-progress gesture for one session / for all sessions,
-  /// appending to `out`. (Queued frames are drained first by the caller via
-  /// drain_into().)
-  void finish_session(std::uint64_t session_id, std::uint64_t tick,
-                      std::vector<SegmentPtr>& out);
+  /// Flushes every session's in-progress gesture, appending to `out`.
+  /// (Queued frames are drained first by the caller via drain_into().)
   void finish_all(std::uint64_t tick, std::vector<SegmentPtr>& out);
 
   /// Session-handoff passthroughs (cluster failover, DESIGN.md §12): both
@@ -184,12 +178,9 @@ class SessionManager {
   bool export_session(std::uint64_t session_id, std::ostream& out);
   void restore_session(std::uint64_t session_id, std::istream& in);
 
-  /// Aggregate load-shed tallies (monotonic).
-  struct Stats {
-    std::uint64_t frames_accepted = 0;
-    std::uint64_t frames_rejected_queue_full = 0;
-    std::uint64_t frames_shed_stale = 0;
-  };
+  /// Monotonic frame tallies summed over shards: admissions, queue-full
+  /// rejects, stale sheds and fault drops (the segment events stay 0).
+  using Stats = health::EventCounts;
   Stats stats() const;
 
   std::size_t shard_count() const { return shards_.size(); }
@@ -205,8 +196,8 @@ class SessionManager {
     FrameView frame;             ///< points live in the shard's epoch arena
   };
   struct Shard {
-    /// Guards queue + arenas + admission counters; held only for O(1)
-    /// enqueue/flip so frame admission never waits behind featurization.
+    /// Guards queue + arenas + counts; held only for O(1) enqueue/flip/fold
+    /// so frame admission never waits behind featurization.
     mutable std::mutex mu;
     /// Guards the session map; held by drain/finish while running the
     /// (expensive) segmentation→preprocess→featurize work.
@@ -220,9 +211,7 @@ class SessionManager {
     std::vector<QueuedFrame> drain_queue;                ///< drain-side double buffer
     std::vector<SegmentPtr> out_scratch;                 ///< drain-tick results
     std::map<std::uint64_t, StreamSession> sessions;     ///< ordered → deterministic
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t shed_stale = 0;
+    health::EventCounts counts;  ///< this shard's frame fates
   };
 
   std::size_t shard_of(std::uint64_t session_id) const {

@@ -366,19 +366,21 @@ TEST(GoldenSnapshot, HealthJsonSchemasMatchGolden) {
   config.flightrec = false;
   config.slo = health::SloSpec::parse("p99_ms<5,shed_rate<0.05,window=4t");
   health::HealthMonitor monitor(config, /*batch_max=*/8);
-  monitor.on_frame_admitted();
-  monitor.on_frame_admitted();
-  monitor.on_frame_rejected();
+  health::EventCounts counts;
+  counts.frames_admitted = 2;
+  counts.frames_rejected = 1;
+  counts.segments = 1;
+  counts.abstained = 1;
+  counts.batches = 1;
   health::RequestSample sample;
   sample.request_id = 42;
   sample.session_id = 1;
   sample.ordinal = 0;
   sample.total_us = 900;
   sample.stage_us[static_cast<std::size_t>(health::Stage::kForward)] = 900;
-  monitor.record_request(sample, /*abstained=*/true, /*quality_rejected=*/false,
-                         /*no_model=*/false, /*model_version=*/3);
+  monitor.record_request(sample, /*model_version=*/3);
   monitor.record_batch(1, 3);
-  monitor.close_tick(1);
+  monitor.close_tick(1, counts);
   const std::string snapshot_json = monitor.snapshot().to_json();
 
   // Exemplar BENCH_health.json (bench/health_bench.cpp): values arbitrary,

@@ -164,25 +164,30 @@ TEST(Health, WindowAggregationAndVerdictLifecycle) {
 
   // Tick 1: 4 admitted + 1 rejected, 4 results (1 abstain, 1 quality
   // reject), one 4-segment batch from model version 7.
-  for (int i = 0; i < 4; ++i) monitor.on_frame_admitted();
-  monitor.on_frame_rejected();
-  monitor.record_request(make_sample(1, 0, 100), false, false, false, 7);
-  monitor.record_request(make_sample(1, 1, 200), true, false, false, 7);
-  monitor.record_request(make_sample(2, 0, 400), false, true, false, 7);
-  monitor.record_request(make_sample(2, 1, 800), false, false, false, 7);
+  health::EventCounts tick1;
+  tick1.frames_admitted = 4;
+  tick1.frames_rejected = 1;
+  tick1.segments = 4;
+  tick1.abstained = 1;
+  tick1.quality_rejected = 1;
+  tick1.batches = 1;
+  monitor.record_request(make_sample(1, 0, 100), 7);
+  monitor.record_request(make_sample(1, 1, 200), 7);
+  monitor.record_request(make_sample(2, 0, 400), 7);
+  monitor.record_request(make_sample(2, 1, 800), 7);
   monitor.record_batch(4, 7);
-  monitor.close_tick(1);
+  monitor.close_tick(1, tick1);
 
   {
     const health::HealthSnapshot snap = monitor.snapshot();
     EXPECT_EQ(snap.ticks_closed, 1u);
     EXPECT_EQ(snap.slo_window.ticks, 1u);
-    EXPECT_EQ(snap.slo_window.frames_admitted, 4u);
-    EXPECT_EQ(snap.slo_window.frames_rejected, 1u);
-    EXPECT_EQ(snap.slo_window.results, 4u);
-    EXPECT_EQ(snap.slo_window.abstained, 1u);
-    EXPECT_EQ(snap.slo_window.quality_rejected, 1u);
-    EXPECT_EQ(snap.slo_window.batches, 1u);
+    EXPECT_EQ(snap.slo_window.counts.frames_admitted, 4u);
+    EXPECT_EQ(snap.slo_window.counts.frames_rejected, 1u);
+    EXPECT_EQ(snap.slo_window.counts.segments, 4u);
+    EXPECT_EQ(snap.slo_window.counts.abstained, 1u);
+    EXPECT_EQ(snap.slo_window.counts.quality_rejected, 1u);
+    EXPECT_EQ(snap.slo_window.counts.batches, 1u);
     EXPECT_DOUBLE_EQ(snap.slo_window.shed_rate, 1.0 / 5.0);
     EXPECT_DOUBLE_EQ(snap.slo_window.abstain_rate, 0.25);
     EXPECT_DOUBLE_EQ(snap.slo_window.batch_occupancy, 4.0 / 8.0);
@@ -206,17 +211,17 @@ TEST(Health, WindowAggregationAndVerdictLifecycle) {
   // Tick 2 is empty — but the 2-tick window still holds tick 1, so the
   // abstain clause still breaches. Ticks 3–4 evict it; two clean
   // evaluations recover the verdict.
-  monitor.close_tick(2);
+  monitor.close_tick(2, {});
   EXPECT_EQ(monitor.verdict(), health::Verdict::kDegraded);
-  monitor.close_tick(3);
+  monitor.close_tick(3, {});
   EXPECT_EQ(monitor.verdict(), health::Verdict::kDegraded);  // clean streak 1
-  monitor.close_tick(4);
+  monitor.close_tick(4, {});
   EXPECT_EQ(monitor.verdict(), health::Verdict::kHealthy);
   EXPECT_EQ(monitor.verdict_flips(), 2u);
 
   const health::HealthSnapshot snap = monitor.snapshot();
   EXPECT_EQ(snap.slo_window.ticks, 2u);
-  EXPECT_EQ(snap.slo_window.results, 0u);  // tick 1 left the window
+  EXPECT_EQ(snap.slo_window.counts.segments, 0u);  // tick 1 left the window
   EXPECT_EQ(snap.slo_window.abstain_rate, 0.0);
 }
 
@@ -225,14 +230,17 @@ TEST(Health, DisabledMonitorIsInert) {
   config.enabled = false;
   health::HealthMonitor monitor(config, 8);
   EXPECT_FALSE(monitor.enabled());
-  monitor.on_frame_admitted();
-  monitor.record_request(make_sample(1, 0, 100), false, false, false, 1);
+  health::EventCounts counts;
+  counts.frames_admitted = 1;
+  counts.segments = 1;
+  counts.batches = 1;
+  monitor.record_request(make_sample(1, 0, 100), 1);
   monitor.record_batch(1, 1);
-  monitor.close_tick(1);
+  monitor.close_tick(1, counts);
   EXPECT_EQ(monitor.ticks_closed(), 0u);
   const health::HealthSnapshot snap = monitor.snapshot();
   EXPECT_FALSE(snap.enabled);
-  EXPECT_EQ(snap.slo_window.results, 0u);
+  EXPECT_EQ(snap.slo_window.counts.segments, 0u);
 }
 
 // ---- flight recorder ------------------------------------------------------
@@ -447,7 +455,7 @@ TEST(HealthServe, FaultStormFlipsVerdictAndRecoversWithHysteresis) {
   }
   {
     const health::HealthSnapshot snap = server.health_snapshot();
-    EXPECT_GT(snap.slo_window.fault_drops, 0u) << "storm produced no fault drops";
+    EXPECT_GT(snap.slo_window.counts.fault_drops, 0u) << "storm produced no fault drops";
     EXPECT_GT(snap.slo_window.fault_rate, 0.0);
     EXPECT_EQ(snap.verdict, health::Verdict::kDegraded);
     EXPECT_EQ(snap.verdict_flips, 1u);

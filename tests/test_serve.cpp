@@ -2,11 +2,13 @@
 // shard counts, micro-batch composition independence, typed overload
 // shedding with bounded queues, deadline stale drops, RCU hot-swap audit,
 // fused-vs-unfused inference equivalence, a GP_FAULTS-style soak with zero
-// uncaught exceptions, and the shared decision path (decide_batch) deciding
-// a batch of many exactly as batches of one.
+// uncaught exceptions, the event tally agreeing across its three views, and
+// the shared decision path (decide_batch) deciding a batch of many exactly as
+// batches of one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -18,6 +20,8 @@
 #include "exec/exec.hpp"
 #include "faults/faults.hpp"
 #include "gesidnet/trainer.hpp"
+#include "health/events.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/preprocessor.hpp"
 #include "serve/server.hpp"
 #include "system/gestureprint.hpp"
@@ -184,8 +188,8 @@ TEST(Serve, OverloadShedsTypedAndBounded) {
   EXPECT_GT(rejected, 0u);
 
   const serve::SessionManager::Stats stats = server.session_stats();
-  EXPECT_EQ(stats.frames_accepted, accepted);
-  EXPECT_EQ(stats.frames_rejected_queue_full, rejected);
+  EXPECT_EQ(stats.frames_admitted, accepted);
+  EXPECT_EQ(stats.frames_rejected, rejected);
   EXPECT_NO_THROW((void)server.drain());  // shedding degraded, nothing died
 }
 
@@ -201,8 +205,10 @@ TEST(Serve, StaleFramesShedAtDrain) {
   for (std::size_t f = 0; f < pushed; ++f) {
     ASSERT_EQ(sessions.enqueue(1, frames[f], /*tick=*/0), serve::Admission::kAccepted);
   }
-  (void)sessions.drain(ctx, /*tick=*/5);  // all 8 are > 1 tick old
-  EXPECT_EQ(sessions.stats().frames_shed_stale, pushed);
+  std::vector<serve::SegmentPtr> segments;
+  sessions.drain_into(ctx, /*tick=*/5, segments);  // all 8 are > 1 tick old
+  EXPECT_TRUE(segments.empty());
+  EXPECT_EQ(sessions.stats().stale_sheds, pushed);
   EXPECT_EQ(sessions.queue_depth(0), 0u);
 }
 
@@ -430,7 +436,7 @@ TEST(Serve, ConcurrentPushersUnderPump) {
   for (serve::ServeResult& r : server.drain()) results.push_back(std::move(r));
 
   const serve::SessionManager::Stats stats = server.session_stats();
-  EXPECT_GT(stats.frames_accepted, 0u);
+  EXPECT_GT(stats.frames_admitted, 0u);
   EXPECT_EQ(server.batch_stats().segments, results.size());
 }
 
@@ -574,6 +580,117 @@ TEST(Decision, BatchOfManyMatchesBatchesOfOne) {
       EXPECT_GT(user_gate, 0u);
       EXPECT_EQ(null_route > 0, serialized);
     }
+  }
+}
+
+// ---- the event tally --------------------------------------------------------
+
+/// Rejects every recognised segment as novel, so the novelty event fires
+/// without the gp::enroll service behind it.
+class RejectAllNoveltyHook : public serve::EnrollmentHook {
+ public:
+  bool gate(const serve::PendingSegment&, const serve::ServeResult&) override { return true; }
+  void close_tick(std::uint64_t) override {}
+};
+
+struct TallyRun {
+  health::EventCounts totals;                        ///< Server::stats()
+  health::EventCounts window;                        ///< the health SLO window
+  std::array<std::uint64_t, health::kEventCount> counters{};  ///< gp.serve.* deltas
+  std::uint64_t ticks = 0;
+};
+
+/// Drives one Server through the events of health::kEvents: a stream
+/// answered before any publish (no-model), streams behind degraded links
+/// (fault drops) and a strict point guard (quality rejects) with a novelty
+/// hook armed, and a burst past queue_cap (queue-full rejects). Abstentions,
+/// batches and segments come along.
+TallyRun run_every_event(bool health_on) {
+  obs::set_metrics_enabled(true);
+  std::array<std::uint64_t, health::kEventCount> before{};
+  for (std::size_t i = 0; i < health::kEventCount; ++i) {
+    before[i] = obs::counter(health::kEvents[i].counter).value();
+  }
+
+  serve::ModelRegistry registry(world().config);  // published mid-run
+  serve::ServeConfig sc = base_config(1);
+  sc.queue_cap = 4;
+  sc.stale_after_ticks = 1;
+  sc.session_faults = faults::FaultConfig::mixed(0.3);
+  // A point guard strict enough that some segments of these streams fail it.
+  sc.preprocess.min_points = 200;
+  sc.enroll.enabled = true;  // biometrics for the novelty gate
+  sc.health.enabled = health_on;
+  sc.health.flightrec = false;
+  sc.health.slo = health::SloSpec::parse("p99_ms<100000,window=4096t");
+  exec::ExecContext ctx(1);
+  serve::Server server(sc, registry, ctx);
+  RejectAllNoveltyHook hook;
+  server.set_enrollment_hook(&hook);
+
+  const auto& streams = world().streams;
+  for (const FrameCloud& frame : streams[0].frames) {
+    (void)server.push_frame(1, frame);
+    (void)server.pump();
+  }
+  (void)server.drain();  // session 1's tail: still no model
+  EXPECT_TRUE(registry.publish_file(world().model_path).has_value());
+
+  std::size_t max_frames = 0;
+  for (const ContinuousRecording& r : streams) max_frames = std::max(max_frames, r.frames.size());
+  for (std::size_t f = 0; f < max_frames; ++f) {
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if (f < streams[i].frames.size()) (void)server.push_frame(i + 2, streams[i].frames[f]);
+    }
+    (void)server.pump();
+  }
+  for (std::size_t f = 0; f < sc.queue_cap + 2; ++f) {
+    (void)server.push_frame(9, streams[0].frames[f]);
+  }
+  (void)server.drain();
+
+  TallyRun run;
+  run.totals = server.stats();
+  const health::HealthSnapshot snap = server.health_snapshot();
+  run.window = snap.slo_window.counts;
+  run.ticks = server.ticks();
+  EXPECT_LE(run.ticks, sc.health.slo->window_ticks) << "the SLO window must span the run";
+  if (health_on) {
+    EXPECT_EQ(snap.slo_window.ticks, run.ticks);
+  }
+  for (std::size_t i = 0; i < health::kEventCount; ++i) {
+    run.counters[i] = obs::counter(health::kEvents[i].counter).value() - before[i];
+  }
+  return run;
+}
+
+// Every event is counted once and folded per tick into three views: the
+// Server totals, the health SLO window and the gp.serve.* counters. Looped
+// over health::kEvents, so a new event is covered without touching this test.
+TEST(Serve, EventTallyViewsAgree) {
+  const TallyRun on = run_every_event(/*health_on=*/true);
+  for (std::size_t i = 0; i < health::kEventCount; ++i) {
+    const health::EventInfo& e = health::kEvents[i];
+    const std::uint64_t total = on.totals.*e.member;
+    // A stale shed needs a frame to outlive a whole pump, which a single
+    // pump thread never allows (every tick drains every shard); stale
+    // counting is pinned at the SessionManager level (StaleFramesShedAtDrain).
+    if (e.member != &health::EventCounts::stale_sheds) {
+      EXPECT_GT(total, 0u) << e.name << " never happened";
+    }
+    EXPECT_EQ(on.window.*e.member, total) << e.name;
+    EXPECT_EQ(on.counters[i], total) << e.name << " (" << e.counter << ")";
+  }
+
+  // Health off: the same fates, the same totals and counters; the window is
+  // empty because the monitor is inert.
+  const TallyRun off = run_every_event(/*health_on=*/false);
+  EXPECT_EQ(off.ticks, on.ticks);
+  for (std::size_t i = 0; i < health::kEventCount; ++i) {
+    const health::EventInfo& e = health::kEvents[i];
+    EXPECT_EQ(off.totals.*e.member, on.totals.*e.member) << e.name;
+    EXPECT_EQ(off.counters[i], on.counters[i]) << e.name;
+    EXPECT_EQ(off.window.*e.member, 0u) << e.name;
   }
 }
 

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "common/config.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
+#include "exec/exec.hpp"
 #include "obs/bench_json.hpp"
 #include "system/gestureprint.hpp"
 
@@ -141,35 +141,39 @@ int main() {
   };
 
   bool ok = true;
+  obs::BenchDoc doc("cluster", exec::default_threads());
+  doc.add("sessions", "count", static_cast<double>(kSessions.size()));
+  const auto count = [&](const std::string& name, std::uint64_t value) {
+    doc.add(name, "count", static_cast<double>(value));
+  };
 
   // ---- worker-count sweep: distribution must not change a single bit ----
-  const std::vector<std::size_t> workers_swept{1, 2, 3};
-  std::vector<obs::ClusterSweepCell> cells;
   std::vector<serve::ServeResult> reference;
-  for (const std::size_t workers : workers_swept) {
+  for (const std::size_t workers : {1, 2, 3}) {
     cluster::Cluster c(base_config(workers));
     const RunOutcome outcome = run_cluster(c, streams);
     if (workers == 1) reference = outcome.results;
-    obs::ClusterSweepCell cell;
-    cell.workers = workers;
-    cell.frames = outcome.stats.frames_accepted;
-    cell.results = outcome.stats.results;
-    cell.rpc_calls = outcome.stats.rpc_calls;
-    cell.rpc_attempts = outcome.stats.rpc_attempts;
-    cell.checkpoints = outcome.stats.checkpoints;
-    cell.ms = outcome.ms;
-    cell.bitwise_vs_single = results_bitwise_equal(outcome.results, reference);
-    cells.push_back(cell);
+    const cluster::Cluster::Stats& st = outcome.stats;
+    const bool bitwise = results_bitwise_equal(outcome.results, reference);
     const double rpc_per_result =
-        cell.results == 0 ? 0.0
-                          : static_cast<double>(cell.rpc_calls) / static_cast<double>(cell.results);
-    std::cout << "  workers=" << workers << ": " << cell.results << " results in "
-              << cell.ms << " ms (" << cell.rpc_attempts << " wire attempts / "
-              << cell.rpc_calls << " RPCs = " << rpc_per_result << " RPCs per result, "
-              << cell.checkpoints << " checkpoints), "
-              << (cell.bitwise_vs_single ? "bitwise == 1-worker" : "DIVERGED") << "\n";
-    if (!cell.bitwise_vs_single || !outcome.pushes_ok) ok = false;
-    if (outcome.stats.workers_evicted != 0) {
+        st.results == 0 ? 0.0
+                        : static_cast<double>(st.rpc_calls) / static_cast<double>(st.results);
+    std::string prefix = "w";
+    prefix += std::to_string(workers);
+    count(prefix + ".frames", st.frames_accepted);
+    count(prefix + ".results", st.results);
+    count(prefix + ".rpc_calls", st.rpc_calls);
+    count(prefix + ".rpc_attempts", st.rpc_attempts);
+    count(prefix + ".checkpoints", st.checkpoints);
+    doc.add(prefix + ".ms", "ms", outcome.ms);
+    doc.add(prefix + ".bitwise_vs_single", "bool", bitwise ? 1.0 : 0.0);
+    std::cout << "  workers=" << workers << ": " << st.results << " results in "
+              << outcome.ms << " ms (" << st.rpc_attempts << " wire attempts / "
+              << st.rpc_calls << " RPCs = " << rpc_per_result << " RPCs per result, "
+              << st.checkpoints << " checkpoints), "
+              << (bitwise ? "bitwise == 1-worker" : "DIVERGED") << "\n";
+    if (!bitwise || !outcome.pushes_ok) ok = false;
+    if (st.workers_evicted != 0) {
       std::cout << "FAIL: fault-free sweep evicted a worker\n";
       ok = false;
     }
@@ -178,41 +182,36 @@ int main() {
   // ---- kill-and-recover: SIGKILL one worker mid-stream -------------------
   std::size_t max_frames = 0;
   for (const auto& s : streams) max_frames = std::max(max_frames, s.frames.size());
-  obs::ClusterFailoverSummary failover;
   {
     cluster::Cluster c(base_config(2));
     const RunOutcome outcome = run_cluster(c, streams, max_frames / 2);
-    failover.measured = true;
-    failover.workers = 2;
-    failover.evictions = outcome.stats.workers_evicted;
-    failover.migrations = outcome.stats.sessions_migrated;
-    failover.respawns = outcome.stats.workers_respawned;
-    failover.results = outcome.stats.results;
-    failover.shed = outcome.stats.frames_shed_no_worker;
-    failover.ms = outcome.ms;
-    failover.bitwise_identical = results_bitwise_equal(outcome.results, reference);
+    const cluster::Cluster::Stats& st = outcome.stats;
+    const bool bitwise = results_bitwise_equal(outcome.results, reference);
+    count("failover.workers", 2);
+    count("failover.evictions", st.workers_evicted);
+    count("failover.migrations", st.sessions_migrated);
+    count("failover.respawns", st.workers_respawned);
+    count("failover.results", st.results);
+    count("failover.shed", st.frames_shed_no_worker);
+    doc.add("failover.ms", "ms", outcome.ms);
+    doc.add("failover.bitwise_identical", "bool", bitwise ? 1.0 : 0.0);
     std::cout << "  failover(workers=2, kill@" << max_frames / 2
-              << "): " << failover.evictions << " evicted, " << failover.migrations
-              << " sessions migrated, " << failover.respawns << " respawned, "
-              << failover.shed << " shed, "
-              << (failover.bitwise_identical ? "bitwise == undisturbed" : "DIVERGED")
-              << "\n";
-    if (!failover.bitwise_identical || !outcome.pushes_ok) ok = false;
-    if (failover.evictions < 1 || failover.migrations < 1 || failover.respawns < 1) {
+              << "): " << st.workers_evicted << " evicted, " << st.sessions_migrated
+              << " sessions migrated, " << st.workers_respawned << " respawned, "
+              << st.frames_shed_no_worker << " shed, "
+              << (bitwise ? "bitwise == undisturbed" : "DIVERGED") << "\n";
+    if (!bitwise || !outcome.pushes_ok) ok = false;
+    if (st.workers_evicted < 1 || st.sessions_migrated < 1 || st.workers_respawned < 1) {
       std::cout << "FAIL: the kill scenario exercised no failover\n";
       ok = false;
     }
-    if (failover.shed != 0) {
-      std::cout << "FAIL: failover shed " << failover.shed << " frames\n";
+    if (st.frames_shed_no_worker != 0) {
+      std::cout << "FAIL: failover shed " << st.frames_shed_no_worker << " frames\n";
       ok = false;
     }
   }
 
-  const std::string json =
-      obs::cluster_bench_json(kSessions.size(), workers_swept, cells, failover);
-  const std::string path = output_dir() + "/BENCH_cluster.json";
-  std::ofstream(path) << json;
-  std::cout << "\nWrote " << path << "\n";
+  std::cout << "\nWrote " << doc.write(output_dir()) << "\n";
   std::cout << (ok ? "Cluster crash-tolerance invariants hold.\n"
                    : "Invariants VIOLATED.\n");
   return ok ? 0 : 1;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -82,11 +81,12 @@ double accept_rate(const BiometricGallery& gallery, const std::vector<double>& s
   return static_cast<double>(accepted) / static_cast<double>(scores.size());
 }
 
-obs::EnrollOpenSetRow open_set_row(const std::string& phase, const BiometricGallery& gallery,
-                                   const Dataset& enrolled_test,
-                                   const std::vector<std::size_t>& test_idx,
-                                   const Dataset& newcomer_heldout,
-                                   const Dataset& stranger) {
+/// Measures one open-set operating point ("before" | "after" enrollment),
+/// adds it to `doc` under `phase` and returns its newcomer-vs-stranger EER.
+double open_set_row(const std::string& phase, const BiometricGallery& gallery,
+                    const Dataset& enrolled_test, const std::vector<std::size_t>& test_idx,
+                    const Dataset& newcomer_heldout, const Dataset& stranger,
+                    obs::BenchDoc& doc) {
   const std::vector<double> genuine_enrolled =
       novelty_scores(gallery, enrolled_test, test_idx);
   const std::vector<double> genuine_newcomer = novelty_scores(gallery, newcomer_heldout, {});
@@ -94,21 +94,21 @@ obs::EnrollOpenSetRow open_set_row(const std::string& phase, const BiometricGall
   std::vector<double> genuine = genuine_enrolled;
   genuine.insert(genuine.end(), genuine_newcomer.begin(), genuine_newcomer.end());
 
-  obs::EnrollOpenSetRow row;
-  row.phase = phase;
   // The EER enrollment targets: can novelty scoring separate the (to-be-)
   // enrolled newcomer from people who stay strangers? Before enrollment both
   // cohorts are unseen, so this sits near chance; gallery anchors gained
   // during enrollment are what pull it down.
-  row.eer = equal_error_rate(genuine_newcomer, impostor);
-  row.threshold = gallery.threshold();
-  row.genuine_accept = accept_rate(gallery, genuine);
-  row.newcomer_reject = 1.0 - accept_rate(gallery, genuine_newcomer);
-  std::cout << "  open-set[" << phase << "]: newcomer-vs-stranger EER=" << row.eer
-            << " genuine_accept=" << row.genuine_accept
-            << " newcomer_reject=" << row.newcomer_reject << " (threshold "
-            << row.threshold << ")\n";
-  return row;
+  const double eer = equal_error_rate(genuine_newcomer, impostor);
+  const double genuine_accept = accept_rate(gallery, genuine);
+  const double newcomer_reject = 1.0 - accept_rate(gallery, genuine_newcomer);
+  doc.add(phase + ".eer", "ratio", eer);
+  doc.add(phase + ".threshold", "score", gallery.threshold());
+  doc.add(phase + ".genuine_accept", "ratio", genuine_accept);
+  doc.add(phase + ".newcomer_reject", "ratio", newcomer_reject);
+  std::cout << "  open-set[" << phase << "]: newcomer-vs-stranger EER=" << eer
+            << " genuine_accept=" << genuine_accept << " newcomer_reject=" << newcomer_reject
+            << " (threshold " << gallery.threshold() << ")\n";
+  return eer;
 }
 
 }  // namespace
@@ -192,10 +192,11 @@ int main() {
   enroll::EnrollmentService service(ec, registry);
   service.calibrate(dataset, split.train);
 
-  std::vector<obs::EnrollOpenSetRow> rows;
-  rows.push_back(
-      open_set_row("before", service.gallery(), dataset, split.test, newcomer_heldout,
-                   stranger));
+  obs::BenchDoc doc("enroll", exec::default_threads());
+  doc.add("k_segments", "count", static_cast<double>(sc.enroll.k_segments));
+  doc.add("max_candidates", "count", static_cast<double>(sc.enroll.max_candidates));
+  const double eer_before = open_set_row("before", service.gallery(), dataset, split.test,
+                                         newcomer_heldout, stranger, doc);
 
   // ---- streams: two enrolled performers + the newcomer --------------------
   const std::vector<std::vector<int>> scripts{{0, 2, 1}, {1, 0, 2}};
@@ -239,53 +240,50 @@ int main() {
   const std::vector<serve::ServeResult> results = run(&service, sc, &ticks);
 
   const enroll::EnrollmentService::Stats stats = service.stats();
-  obs::EnrollServeSummary serve_summary;
-  serve_summary.ticks = ticks;
-  serve_summary.results = results.size();
-  serve_summary.expected_results = expected;
-  serve_summary.novelty_rejections = stats.novelty_rejections;
-  serve_summary.candidates_founded = delta.counter_delta("gp.enroll.candidates.founded");
-  serve_summary.fine_tunes = stats.fine_tunes_started;
-  serve_summary.users_enrolled = stats.users_enrolled;
-  serve_summary.published_version = registry.version();
-  std::cout << "  serve: " << serve_summary.results << "/" << serve_summary.expected_results
-            << " results over " << serve_summary.ticks << " ticks, "
-            << serve_summary.novelty_rejections << " novelty rejections, "
-            << serve_summary.fine_tunes << " fine-tunes, " << serve_summary.users_enrolled
-            << " users enrolled (registry v" << serve_summary.published_version << ")\n";
+  const std::uint64_t published_version = registry.version();
+  const auto count = [&](const std::string& name, std::uint64_t value) {
+    doc.add(name, "count", static_cast<double>(value));
+  };
+  count("serve.ticks", ticks);
+  count("serve.results", results.size());
+  count("serve.expected_results", expected);
+  count("serve.novelty_rejections", stats.novelty_rejections);
+  count("serve.candidates_founded", delta.counter_delta("gp.enroll.candidates.founded"));
+  count("serve.fine_tunes", stats.fine_tunes_started);
+  count("serve.users_enrolled", stats.users_enrolled);
+  doc.add("serve.published_version", "version", static_cast<double>(published_version));
+  std::cout << "  serve: " << results.size() << "/" << expected << " results over " << ticks
+            << " ticks, " << stats.novelty_rejections << " novelty rejections, "
+            << stats.fine_tunes_started << " fine-tunes, " << stats.users_enrolled
+            << " users enrolled (registry v" << published_version << ")\n";
 
-  rows.push_back(open_set_row("after", service.gallery(), dataset, split.test,
-                              newcomer_heldout, stranger));
+  const double eer_after = open_set_row("after", service.gallery(), dataset, split.test,
+                                        newcomer_heldout, stranger, doc);
 
   const obs::HistogramSnapshot to_live = obs::histogram("gp.enroll.to_live_ms").snapshot();
-  obs::EnrollLatencySummary latency;
-  latency.count = to_live.count;
-  latency.p50_ms = to_live.quantile(0.5);
-  latency.p95_ms = to_live.quantile(0.95);
-  latency.p99_ms = to_live.quantile(0.99);
-  std::cout << "  enrollment-to-live: p50=" << latency.p50_ms << " ms p95=" << latency.p95_ms
-            << " ms (" << latency.count << " enrollments)\n";
+  count("to_live.count", to_live.count);
+  doc.add("to_live.p50_ms", "ms", to_live.quantile(0.5));
+  doc.add("to_live.p95_ms", "ms", to_live.quantile(0.95));
+  doc.add("to_live.p99_ms", "ms", to_live.quantile(0.99));
+  std::cout << "  enrollment-to-live: p50=" << to_live.quantile(0.5)
+            << " ms p95=" << to_live.quantile(0.95) << " ms (" << to_live.count
+            << " enrollments)\n";
 
-  const std::string json = obs::enroll_bench_json(sc.enroll.k_segments,
-                                                  sc.enroll.max_candidates, rows,
-                                                  serve_summary, latency);
-  const std::string path = output_dir() + "/BENCH_enroll.json";
-  std::ofstream(path) << json;
-  std::cout << "\nWrote " << path << "\n";
+  std::cout << "\nWrote " << doc.write(output_dir()) << "\n";
 
   bool ok = true;
-  if (serve_summary.results != serve_summary.expected_results) {
-    std::cout << "FAIL: enrollment run dropped results (" << serve_summary.results << " vs "
-              << serve_summary.expected_results << ")\n";
+  if (results.size() != expected) {
+    std::cout << "FAIL: enrollment run dropped results (" << results.size() << " vs "
+              << expected << ")\n";
     ok = false;
   }
-  if (serve_summary.users_enrolled < 1 || serve_summary.published_version < 2) {
+  if (stats.users_enrolled < 1 || published_version < 2) {
     std::cout << "FAIL: nobody was enrolled\n";
     ok = false;
   }
-  if (rows[1].eer > rows[0].eer + 1e-12) {
-    std::cout << "FAIL: open-set EER got worse after enrollment (" << rows[0].eer << " -> "
-              << rows[1].eer << ")\n";
+  if (eer_after > eer_before + 1e-12) {
+    std::cout << "FAIL: open-set EER got worse after enrollment (" << eer_before << " -> "
+              << eer_after << ")\n";
     ok = false;
   }
   std::cout << (ok ? "Enrollment invariants hold.\n" : "Invariants VIOLATED.\n");

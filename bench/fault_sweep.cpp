@@ -10,15 +10,18 @@
 //  * at maximum severity the runtime still completes with zero uncaught
 //    exceptions — degraded captures become typed rejections or kAbstain
 //    answers, never crashes or silent garbage.
+#include <cmath>
 #include <exception>
-#include <fstream>
 #include <iostream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/config.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
+#include "exec/exec.hpp"
 #include "faults/faults.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
@@ -29,23 +32,25 @@ namespace {
 
 using namespace gp;
 
-struct StreamOutcome {
-  obs::FaultSweepRow row;
+/// What the degradation gates read from one (fault family, severity) cell.
+struct Cell {
+  std::uint64_t segments = 0;    ///< segments the streaming segmenter detected
+  std::uint64_t classified = 0;  ///< clouds that got a (gesture,user) answer
+  std::uint64_t abstained = 0;   ///< clouds the system refused (kAbstain)
+  std::uint64_t correct = 0;     ///< classified AND gesture matched truth
+  std::uint64_t uncaught_exceptions = 0;  ///< must be 0: degradation, not death
 };
 
 /// Streams `recording` through an injector configured by `config` and the
-/// freshly-loaded system at `model_path`. Per-frame and per-segment work is
-/// fenced so a fault can only ever produce a counted exception, never kill
-/// the sweep.
-obs::FaultSweepRow run_cell(const ContinuousRecording& recording,
-                            const std::vector<int>& script,
-                            const GesturePrintConfig& system_config,
-                            const std::string& model_path,
-                            const faults::FaultConfig& fault_config,
-                            double severity, bool& counters_ok) {
-  obs::FaultSweepRow row;
-  row.severity = severity;
-  row.frames_in = recording.frames.size();
+/// freshly-loaded system at `model_path`, and adds the cell's metrics to
+/// `doc` under `prefix`. Per-frame and per-segment work is fenced so a fault
+/// can only ever produce a counted exception, never kill the sweep.
+Cell run_cell(const ContinuousRecording& recording, const std::vector<int>& script,
+              const GesturePrintConfig& system_config, const std::string& model_path,
+              const faults::FaultConfig& fault_config, double severity,
+              const std::string& prefix, obs::BenchDoc& doc, bool& ok) {
+  Cell cell;
+  std::uint64_t frames_delivered = 0;
 
   // Per-cell counter baseline: gp.faults.* counters are process-global and
   // keep accumulating across the sweep; the delta isolates this cell.
@@ -65,18 +70,18 @@ obs::FaultSweepRow run_cell(const ContinuousRecording& recording,
   auto consume = [&](const GestureSegment& segment) {
     try {
       const GestureCloud cloud = preprocessor.process_segment(segment.frames);
-      ++row.segments;
+      ++cell.segments;
       const InferenceResult result = system.classify(cloud);
       const int truth = detected < script.size() ? script[detected] : -1;
       ++detected;
       if (result.abstained) {
-        ++row.abstained;
+        ++cell.abstained;
         return;
       }
-      ++row.classified;
-      if (truth >= 0 && result.gesture == truth) ++row.correct;
+      ++cell.classified;
+      if (truth >= 0 && result.gesture == truth) ++cell.correct;
     } catch (const std::exception&) {
-      ++row.uncaught_exceptions;
+      ++cell.uncaught_exceptions;
     }
   };
 
@@ -84,10 +89,10 @@ obs::FaultSweepRow run_cell(const ContinuousRecording& recording,
     try {
       const std::optional<FrameCloud> delivered = injector.apply(frame);
       if (!delivered) continue;
-      ++row.frames_delivered;  // counted here: the off-path injector keeps no tally
+      ++frames_delivered;  // counted here: the off-path injector keeps no tally
       segmenter.push(*delivered);
     } catch (const std::exception&) {
-      ++row.uncaught_exceptions;
+      ++cell.uncaught_exceptions;
       continue;
     }
     for (const GestureSegment& segment : segmenter.take_segments()) consume(segment);
@@ -96,9 +101,27 @@ obs::FaultSweepRow run_cell(const ContinuousRecording& recording,
   for (const GestureSegment& segment : segmenter.take_segments()) consume(segment);
 
   const faults::FaultInjector::Counts& counts = injector.counts();
-  row.frames_dropped = counts.frames_dropped;
-  row.ghost_points = counts.ghost_points;
-  row.points_removed = counts.points_removed;
+  const auto count = [&](const char* name, std::uint64_t value) {
+    doc.add(prefix + "." + name, "count", static_cast<double>(value));
+  };
+  count("frames_in", recording.frames.size());
+  count("frames_delivered", frames_delivered);
+  count("frames_dropped", counts.frames_dropped);
+  count("ghost_points", counts.ghost_points);
+  count("points_removed", counts.points_removed);
+  count("segments", cell.segments);
+  count("classified", cell.classified);
+  count("abstained", cell.abstained);
+  count("correct", cell.correct);
+  doc.add(prefix + ".accuracy", "ratio",
+          cell.classified == 0
+              ? 0.0
+              : static_cast<double>(cell.correct) / static_cast<double>(cell.classified));
+  count("uncaught_exceptions", cell.uncaught_exceptions);
+  std::cout << "  " << prefix << ": " << frames_delivered << "/" << recording.frames.size()
+            << " frames, " << cell.segments << " segments, " << cell.classified
+            << " classified, " << cell.abstained << " abstained, " << cell.correct
+            << " correct, " << cell.uncaught_exceptions << " exceptions\n";
 
   // Cross-check: this cell's gp.faults.* counter deltas must equal the
   // injector's own tallies (catches cross-cell accumulation bleeding into
@@ -110,10 +133,10 @@ obs::FaultSweepRow run_cell(const ContinuousRecording& recording,
       std::cout << "FAIL: severity=" << severity << " counter deltas (dropped " << d_dropped
                 << ", ghost " << d_ghost << ") disagree with injector counts ("
                 << counts.frames_dropped << ", " << counts.ghost_points << ")\n";
-      counters_ok = false;
+      ok = false;
     }
   }
-  return row;
+  return cell;
 }
 
 }  // namespace
@@ -152,23 +175,38 @@ int main() {
             << script.size() << " gestures) per cell...\n\n";
 
   const std::vector<double> severities{0.0, 0.25, 0.5, 1.0};
-  std::vector<obs::FaultFamilySeries> families;
-  bool counters_ok = true;
+  obs::BenchDoc doc("faults", exec::default_threads());
+  doc.add("abstain_margin", "prob", config.abstain_margin);
 
-  auto sweep = [&](const std::string& kind_name,
-                   auto&& make_config) {
-    obs::FaultFamilySeries series;
-    series.kind = kind_name;
+  // Self-check the degradation invariants (plus the per-cell counter
+  // cross-check in run_cell) so CI can gate on the exit code without
+  // parsing the artifact. The first family's severity-0 cell is the clean
+  // baseline every family's severity-0 cell must reproduce.
+  bool ok = true;
+  std::optional<Cell> clean;
+  std::uint64_t worst_abstained = 0;
+  auto sweep = [&](const std::string& kind_name, auto&& make_config) {
     for (double severity : severities) {
-      series.rows.push_back(run_cell(recording, script, config, model_path,
-                                     make_config(severity), severity, counters_ok));
-      const obs::FaultSweepRow& r = series.rows.back();
-      std::cout << "  " << kind_name << " s=" << severity << ": " << r.frames_delivered
-                << "/" << r.frames_in << " frames, " << r.segments << " segments, "
-                << r.classified << " classified, " << r.abstained << " abstained, "
-                << r.correct << " correct, " << r.uncaught_exceptions << " exceptions\n";
+      // Metric prefix: family, then severity in percent ("frame_drop.s25").
+      const std::string prefix =
+          kind_name + ".s" + std::to_string(static_cast<int>(std::lround(severity * 100.0)));
+      const Cell cell = run_cell(recording, script, config, model_path, make_config(severity),
+                                 severity, prefix, doc, ok);
+      if (severity == severities.front()) {
+        if (!clean) clean = cell;
+        if (cell.segments != clean->segments || cell.classified != clean->classified ||
+            cell.correct != clean->correct) {
+          std::cout << "FAIL: " << kind_name << " severity 0 deviates from clean baseline\n";
+          ok = false;
+        }
+      }
+      if (cell.uncaught_exceptions != 0) {
+        std::cout << "FAIL: " << kind_name << " s=" << severity
+                  << " had uncaught exceptions\n";
+        ok = false;
+      }
+      if (severity == severities.back()) worst_abstained += cell.abstained;
     }
-    families.push_back(std::move(series));
   };
 
   for (faults::FaultKind kind : faults::all_fault_kinds()) {
@@ -178,34 +216,8 @@ int main() {
   }
   sweep("mixed", [&](double s) { return faults::FaultConfig::mixed(s); });
 
-  const std::string json =
-      obs::fault_sweep_json(config.abstain_margin, severities, families);
-  const std::string path = output_dir() + "/BENCH_faults.json";
-  std::ofstream(path) << json;
-  std::cout << "\nWrote " << path << "\n";
+  std::cout << "\nWrote " << doc.write(output_dir()) << "\n";
 
-  // Self-check the degradation invariants (plus the per-cell counter
-  // cross-check above) so CI can gate on the exit code without parsing the
-  // artifact.
-  bool ok = counters_ok;
-  std::uint64_t worst_abstained = 0;
-  for (const auto& family : families) {
-    const auto& clean = families.front().rows.front();
-    const auto& zero = family.rows.front();
-    if (zero.segments != clean.segments || zero.classified != clean.classified ||
-        zero.correct != clean.correct) {
-      std::cout << "FAIL: " << family.kind << " severity 0 deviates from clean baseline\n";
-      ok = false;
-    }
-    for (const auto& row : family.rows) {
-      if (row.uncaught_exceptions != 0) {
-        std::cout << "FAIL: " << family.kind << " s=" << row.severity
-                  << " had uncaught exceptions\n";
-        ok = false;
-      }
-    }
-    worst_abstained += family.rows.back().abstained;
-  }
   if (worst_abstained == 0) {
     std::cout << "FAIL: no abstentions at maximum severity (gate never fired)\n";
     ok = false;

@@ -8,15 +8,14 @@
 // matmul_bt band-checked (see gemm_ref.hpp for why) — so a speedup number
 // can never be reported for a kernel that drifted.
 //
-// Emits <output_dir>/BENCH_gemm.json (schema pinned by the
-// `bench_gemm_schema` golden) and self-checks on the exit code:
+// Emits <output_dir>/BENCH_gemm.json (metrics `<kernel>.<m>x<k>x<n>.*`) and
+// self-checks on the exit code:
 //  1. every differential check passes;
 //  2. the blocked kernels are not slower than the naive references overall
 //     (geometric-mean speedup >= 1.0 across the swept shapes).
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
@@ -40,6 +39,10 @@ using Clock = std::chrono::steady_clock;
 
 struct Shape {
   std::size_t m, k, n;
+
+  std::string name() const {
+    return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
+  }
 };
 
 /// Fills `t` with a mix of ReLU-style zeros and finite values — the
@@ -88,8 +91,23 @@ int main() {
 
   exec::ExecContext ctx;  // honors GP_THREADS like the real stack
   Rng rng(0xBE5C, 1);
-  std::vector<obs::GemmBenchRow> rows;
+  obs::BenchDoc doc("gemm", ctx.threads());
   bool checks_ok = true;
+  double log_sum = 0.0;  // over the blocked-vs-naive speedups
+  std::size_t counted = 0;
+
+  // Adds one timed row: ref is the naive reference (or the f32 fused kernel
+  // for fused_int8), opt the blocked (or int8) kernel.
+  const auto add_row = [&](const std::string& prefix, double flops, double ref_ms,
+                           double opt_ms) {
+    const double speedup = opt_ms > 0.0 ? ref_ms / opt_ms : 0.0;
+    const double gflops = opt_ms > 0.0 ? flops / (opt_ms * 1.0e6) : 0.0;
+    doc.add(prefix + ".ref_ms", "ms", ref_ms);
+    doc.add(prefix + ".opt_ms", "ms", opt_ms);
+    doc.add(prefix + ".speedup", "x", speedup);
+    doc.add(prefix + ".gflops", "GFLOP/s", gflops);
+    return speedup;
+  };
 
   // Layer shapes from the GesIDNet MLP stacks and heads plus two larger
   // panels that exercise the k-tiling; batch dimension = micro-batch sizes.
@@ -133,66 +151,44 @@ int main() {
                   << " diverged from the naive reference\n";
         checks_ok = false;
       }
-      obs::GemmBenchRow row;
-      row.kernel = v.name;
-      row.m = s.m;
-      row.k = s.k;
-      row.n = s.n;
-      row.ref_ms = time_ms([&] { v.ref(ref_out); }, reps);
-      row.opt_ms = time_ms([&] { v.opt(opt_out); }, reps);
-      row.speedup = row.opt_ms > 0.0 ? row.ref_ms / row.opt_ms : 0.0;
-      row.gflops = row.opt_ms > 0.0 ? flops / (row.opt_ms * 1.0e6) : 0.0;
-      row.check = v.bitwise ? "bitwise" : "band";
-      rows.push_back(row);
-      std::cout << "  " << row.kernel << " " << s.m << "x" << s.k << "x" << s.n << ": ref "
-                << row.ref_ms << " ms, opt " << row.opt_ms << " ms (" << row.speedup
-                << "x, " << row.gflops << " GFLOP/s, " << row.check << ")\n";
+      const std::string prefix = std::string(v.name) + "." + s.name();
+      const char* check = v.bitwise ? "bitwise" : "band";
+      const double ref_ms = time_ms([&] { v.ref(ref_out); }, reps);
+      const double opt_ms = time_ms([&] { v.opt(opt_out); }, reps);
+      const double speedup = add_row(prefix, flops, ref_ms, opt_ms);
+      doc.add(prefix + "." + check + "_ok", "bool", ok ? 1.0 : 0.0);
+      if (speedup > 0.0) {
+        log_sum += std::log(speedup);
+        ++counted;
+      }
+      std::cout << "  " << prefix << ": ref " << ref_ms << " ms, opt " << opt_ms << " ms ("
+                << speedup << "x, " << check << ")\n";
     }
   }
 
   // int8 fused-layer row: FusedLinear kInt8 vs the f32 fused kernel on a
   // representative (in, out) with ReLU-sparse activations. ref here is the
-  // f32 fused forward, check is the band the quantization error allows.
+  // f32 fused forward; it stays out of the blocked-vs-naive geomean.
   {
-    const std::size_t in = 96, out = 128, batch = 64;
+    const Shape s{64, 96, 128};  // (batch, in, out)
     Rng lrng(0xBE5C, 2);
-    nn::Linear lin(in, out, lrng);
-    nn::Tensor x(batch, in);
+    nn::Linear lin(s.k, s.n, lrng);
+    nn::Tensor x(s.m, s.k);
     fill(x, rng, 0.45);
     nn::FusedLinear f32(lin, nullptr, true);
     nn::FusedLinear i8(lin, nullptr, true, nn::QuantMode::kInt8);
     nn::Tensor y32, y8;
     const int reps = 200;
-    obs::GemmBenchRow row;
-    row.kernel = "fused_int8";
-    row.m = batch;
-    row.k = in;
-    row.n = out;
-    row.ref_ms = time_ms([&] { y32 = f32.forward(x, false); }, reps);
-    row.opt_ms = time_ms([&] { y8 = i8.forward(x, false); }, reps);
-    row.speedup = row.opt_ms > 0.0 ? row.ref_ms / row.opt_ms : 0.0;
-    row.gflops = row.opt_ms > 0.0
-                     ? 2.0 * static_cast<double>(batch * in * out) / (row.opt_ms * 1.0e6)
-                     : 0.0;
-    row.check = "band";
-    rows.push_back(row);
-    std::cout << "  fused_int8 " << batch << "x" << in << "x" << out << ": f32 "
-              << row.ref_ms << " ms, int8 " << row.opt_ms << " ms (" << row.speedup
-              << "x)\n";
+    const double ref_ms = time_ms([&] { y32 = f32.forward(x, false); }, reps);
+    const double opt_ms = time_ms([&] { y8 = i8.forward(x, false); }, reps);
+    const double speedup = add_row("fused_int8." + s.name(),
+                                   2.0 * static_cast<double>(s.m * s.k * s.n), ref_ms, opt_ms);
+    std::cout << "  fused_int8." << s.name() << ": f32 " << ref_ms << " ms, int8 " << opt_ms
+              << " ms (" << speedup << "x)\n";
   }
 
-  const std::string json = obs::gemm_bench_json(ctx.threads(), rows);
-  const std::string path = output_dir() + "/BENCH_gemm.json";
-  std::ofstream(path) << json;
-  std::cout << "\nWrote " << path << "\n";
+  std::cout << "\nWrote " << doc.write(output_dir()) << "\n";
 
-  double log_sum = 0.0;
-  std::size_t counted = 0;
-  for (const obs::GemmBenchRow& r : rows) {
-    if (r.kernel == "fused_int8" || r.speedup <= 0.0) continue;
-    log_sum += std::log(r.speedup);
-    ++counted;
-  }
   const double geomean = counted > 0 ? std::exp(log_sum / static_cast<double>(counted)) : 0.0;
   std::cout << "Geomean blocked-vs-naive speedup: " << geomean << "x\n";
   bool ok = checks_ok;

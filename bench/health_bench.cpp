@@ -12,7 +12,6 @@
 //      regression inflates every pair and cannot hide in the minimum.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "common/config.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
+#include "exec/exec.hpp"
 #include "health/slo.hpp"
 #include "obs/bench_json.hpp"
 #include "serve/server.hpp"
@@ -37,6 +37,16 @@ constexpr std::size_t kReps = 9;
 /// radar frame rate, so the measured tick carries the steady per-tick load
 /// (admission + shard drain + segmentation) rather than being mostly empty.
 constexpr std::size_t kFramesPerTick = 4;
+
+/// One mode's best-of-reps serve-tick latency quantiles.
+struct ModeRow {
+  const char* mode;
+  std::uint64_t ticks = 0;
+  std::uint64_t results = 0;  ///< ServeResults answered across the run
+  double p50_us = -1.0;       ///< negative until the first rep lands
+  double p95_us = 0.0;
+  double p99_us = 0.0;
+};
 
 struct RunOutcome {
   std::vector<double> tick_us;  ///< one entry per frame round (push + pump)
@@ -144,10 +154,7 @@ int main() {
   config_on.health.slo = health::SloSpec::parse("p99_ms<1000,shed_rate<0.5,window=64t");
 
   std::size_t ticks_per_rep = 0;
-  std::vector<obs::HealthBenchRow> rows(2);
-  rows[0].mode = "off";
-  rows[1].mode = "on";
-  for (auto& row : rows) row.p50_us = -1.0;
+  ModeRow rows[2] = {{"off"}, {"on"}};
   std::vector<serve::ServeResult> results_off;
   std::vector<serve::ServeResult> results_on;
   const std::pair<const char*, const serve::ServeConfig*> modes[] = {{"off", &config_off},
@@ -163,7 +170,7 @@ int main() {
   for (std::size_t rep = 0; rep < kReps; ++rep) {
     double rep_p50[2] = {0.0, 0.0};
     for (std::size_t m = 0; m < 2; ++m) {
-      obs::HealthBenchRow& row = rows[m];
+      ModeRow& row = rows[m];
       RunOutcome outcome = run_once(recordings, *modes[m].second, registry);
       ticks_per_rep = outcome.tick_us.size();
       std::vector<double> sorted = outcome.tick_us;
@@ -211,12 +218,23 @@ int main() {
     snap = server.health_snapshot();
   }
 
-  const std::string json = obs::health_bench_json(
-      kReps, ticks_per_rep, rows, overhead_pct, bitwise,
-      health::verdict_name(snap.verdict), snap.verdict_flips, snap.flightrec_events);
-  const std::string path = output_dir() + "/BENCH_health.json";
-  std::ofstream(path) << json;
-  std::cout << "\nWrote " << path << "\n";
+  obs::BenchDoc doc("health", exec::default_threads());
+  doc.add("reps", "count", kReps);
+  doc.add("ticks_per_rep", "count", static_cast<double>(ticks_per_rep));
+  for (const ModeRow& row : rows) {
+    const std::string mode = row.mode;
+    doc.add(mode + ".ticks", "count", static_cast<double>(row.ticks));
+    doc.add(mode + ".results", "count", static_cast<double>(row.results));
+    doc.add(mode + ".p50_us", "us", row.p50_us);
+    doc.add(mode + ".p95_us", "us", row.p95_us);
+    doc.add(mode + ".p99_us", "us", row.p99_us);
+  }
+  doc.add("overhead.p50_pct", "%", overhead_pct);
+  doc.add("bitwise_identical", "bool", bitwise ? 1.0 : 0.0);
+  doc.add(std::string("verdict.") + health::verdict_name(snap.verdict), "bool", 1.0);
+  doc.add("verdict_flips", "count", static_cast<double>(snap.verdict_flips));
+  doc.add("flightrec_events", "count", static_cast<double>(snap.flightrec_events));
+  std::cout << "\nWrote " << doc.write(output_dir()) << "\n";
 
   bool ok = true;
   if (!bitwise) {

@@ -17,10 +17,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -106,13 +105,23 @@ BENCHMARK(BM_EndToEndSingleGesture)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------- per-stage latency profile
 
+/// Adds one latency histogram's count, mean and quantiles under `prefix`.
+void add_quantiles(obs::BenchDoc& doc, const std::string& prefix,
+                   const obs::HistogramSnapshot& h) {
+  doc.add(prefix + ".count", "count", static_cast<double>(h.count));
+  doc.add(prefix + ".mean_ms", "ms", h.mean());
+  doc.add(prefix + ".p50_ms", "ms", h.quantile(0.5));
+  doc.add(prefix + ".p95_ms", "ms", h.quantile(0.95));
+  doc.add(prefix + ".p99_ms", "ms", h.quantile(0.99));
+}
+
 /// Re-measures the three latency paths outside google-benchmark, feeding
 /// every iteration into obs histograms so the report carries p50/p95/p99
 /// (google-benchmark's default counters only expose the mean). The GP_SPAN
 /// instrumentation inside the stack fills in the per-stage breakdown
 /// (pipeline.segment, gesidnet.predict, ...) over the same iterations,
 /// which lands in BENCH_latency_stages.json next to the top-level numbers.
-void run_latency_quantiles(const std::vector<obs::ServeTickProfile>& serve_tick) {
+void run_latency_quantiles(obs::BenchDoc& doc) {
   using clock = std::chrono::steady_clock;
   LatencyFixture& f = LatencyFixture::instance();
   const Preprocessor preprocessor;
@@ -149,19 +158,18 @@ void run_latency_quantiles(const std::vector<obs::ServeTickProfile>& serve_tick)
   row("classification", infer_ms.snapshot());
   row("end-to-end    ", total_ms.snapshot());
 
-  // BENCH_latency_stages.json: top-level quantiles + GP_SPAN breakdown,
-  // emitted through the canonical builder whose schema the golden tests pin.
-  const std::string doc = obs::latency_stages_json(
-      kIters,
-      {{"preprocessing", pre_ms.snapshot()},
-       {"classification_inference", infer_ms.snapshot()},
-       {"end_to_end", total_ms.snapshot()}},
-      obs::stage_snapshots(), serve_tick);
-
-  const std::string path = output_dir() + "/BENCH_latency_stages.json";
-  std::ofstream out(path);
-  out << doc;
-  std::cout << "wrote " << path << "\n";
+  // Top-level quantiles, then the GP_SPAN breakdown of the same iterations.
+  doc.add("iterations", "count", kIters);
+  add_quantiles(doc, "preprocessing", pre_ms.snapshot());
+  add_quantiles(doc, "classification_inference", infer_ms.snapshot());
+  add_quantiles(doc, "end_to_end", total_ms.snapshot());
+  for (const obs::StageSnapshot& stage : obs::stage_snapshots()) {
+    if (stage.histogram.count == 0) continue;
+    const std::string prefix = "stage." + stage.name;
+    doc.add(prefix + ".min_depth", "depth", static_cast<double>(stage.min_depth));
+    doc.add(prefix + ".total_ms", "ms", stage.histogram.sum);
+    add_quantiles(doc, prefix, stage.histogram);
+  }
 }
 
 // ------------------------------------------------------ serve tick profile
@@ -183,7 +191,7 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
 /// growing) and "steady" (everything warm — this is the gp::mem
 /// before/after evidence for DESIGN.md §9). The zero-alloc *assertion*
 /// lives in tests/test_mem.cpp; here we record the measured rates.
-std::vector<obs::ServeTickProfile> run_serve_tick_profile() {
+void run_serve_tick_profile(obs::BenchDoc& doc) {
   LatencyFixture& f = LatencyFixture::instance();
 
   GesturePrintConfig config = bench::default_system_config();
@@ -194,7 +202,7 @@ std::vector<obs::ServeTickProfile> run_serve_tick_profile() {
   serve::ModelRegistry registry(config);
   if (!registry.publish_file(model_path)) {
     std::cout << "serve tick profile skipped: could not publish " << model_path << "\n";
-    return {};
+    return;
   }
 
   serve::ServeConfig serve_config;
@@ -203,9 +211,11 @@ std::vector<obs::ServeTickProfile> run_serve_tick_profile() {
   serve::Server server(serve_config, registry);
 
   constexpr std::uint64_t kSessions = 4;
-  const auto pass = [&](const char* phase) {
-    obs::ServeTickProfile profile;
-    profile.phase = phase;
+  std::cout << "\nserve tick profile (" << kSessions << " sessions, "
+            << f.raw_recording.size() << " ticks/pass)\n";
+  // The second pass keeps the same server: sessions, pools, and shard
+  // arenas enter it warm, so the delta isolates the allocator tax.
+  for (const std::string phase : {"cold", "steady"}) {
     std::vector<double> tick_ms;
     tick_ms.reserve(f.raw_recording.size());
     mem::AllocCounter allocs;
@@ -217,32 +227,24 @@ std::vector<obs::ServeTickProfile> run_serve_tick_profile() {
       benchmark::DoNotOptimize(results);
       tick_ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
-    profile.ticks = tick_ms.size();
-    profile.allocs_per_tick =
-        profile.ticks > 0
-            ? static_cast<double>(allocs.allocations()) / static_cast<double>(profile.ticks)
-            : 0.0;
+    const double allocs_per_tick =
+        tick_ms.empty() ? 0.0
+                        : static_cast<double>(allocs.allocations()) /
+                              static_cast<double>(tick_ms.size());
     std::sort(tick_ms.begin(), tick_ms.end());
-    profile.p50_ms = sorted_quantile(tick_ms, 0.5);
-    profile.p95_ms = sorted_quantile(tick_ms, 0.95);
-    profile.p99_ms = sorted_quantile(tick_ms, 0.99);
-    return profile;
-  };
-
-  // The second pass keeps the same server: sessions, pools, and shard
-  // arenas enter it warm, so the delta isolates the allocator tax.
-  std::vector<obs::ServeTickProfile> profiles;
-  profiles.push_back(pass("cold"));
-  profiles.push_back(pass("steady"));
-
-  std::cout << "\nserve tick profile (" << kSessions << " sessions, "
-            << f.raw_recording.size() << " ticks/pass)\n";
-  for (const obs::ServeTickProfile& p : profiles) {
-    std::cout << "  " << p.phase << ": p50 " << bench::cell(p.p50_ms) << "ms  p95 "
-              << bench::cell(p.p95_ms) << "ms  p99 " << bench::cell(p.p99_ms) << "ms  "
-              << bench::cell(p.allocs_per_tick) << " allocs/tick\n";
+    const double p50 = sorted_quantile(tick_ms, 0.5);
+    const double p95 = sorted_quantile(tick_ms, 0.95);
+    const double p99 = sorted_quantile(tick_ms, 0.99);
+    const std::string prefix = "serve_tick." + phase;
+    doc.add(prefix + ".ticks", "count", static_cast<double>(tick_ms.size()));
+    doc.add(prefix + ".p50_ms", "ms", p50);
+    doc.add(prefix + ".p95_ms", "ms", p95);
+    doc.add(prefix + ".p99_ms", "ms", p99);
+    doc.add(prefix + ".allocs_per_tick", "allocs", allocs_per_tick);
+    std::cout << "  " << phase << ": p50 " << bench::cell(p50) << "ms  p95 "
+              << bench::cell(p95) << "ms  p99 " << bench::cell(p99) << "ms  "
+              << bench::cell(allocs_per_tick) << " allocs/tick\n";
   }
-  return profiles;
 }
 
 // ------------------------------------------------------ parallel scaling sweep
@@ -260,7 +262,11 @@ double time_stage_ms(gp::exec::ExecContext& ctx, const Fn& stage, int reps = 3) 
   return best;
 }
 
-using SweepStage = obs::SweepStageSeries;
+/// One stage's best-of wall times, aligned with the swept thread counts.
+struct SweepStage {
+  std::string name;
+  std::vector<double> ms;
+};
 
 /// Sweeps GP thread counts over three representative stages and writes
 /// BENCH_parallel.json. Every stage produces bitwise-identical results at
@@ -327,20 +333,20 @@ void run_parallel_sweep() {
   }
 
   std::cout << "\nparallel scaling (best-of wall time, ms; speedup vs 1 thread)\n";
+  obs::BenchDoc doc("parallel", exec::default_threads());
   for (const SweepStage& stage : stages) {
     std::cout << "  " << stage.name << ":";
     for (std::size_t i = 0; i < threads.size(); ++i) {
       const double speedup = stage.ms[0] / stage.ms[i];
+      const std::string prefix = stage.name + ".t" + std::to_string(threads[i]);
+      doc.add(prefix + ".ms", "ms", stage.ms[i]);
+      doc.add(prefix + ".speedup", "x", speedup);
       std::cout << "  " << threads[i] << "t " << bench::cell(stage.ms[i]) << "ms (x"
                 << bench::cell(speedup) << ")";
     }
     std::cout << "\n";
   }
-
-  const std::string path = output_dir() + "/BENCH_parallel.json";
-  std::ofstream out(path);
-  out << obs::parallel_sweep_json(hw, threads, stages);
-  std::cout << "wrote " << path << "\n";
+  std::cout << "wrote " << doc.write(output_dir()) << "\n";
 }
 
 }  // namespace
@@ -354,8 +360,10 @@ int main(int argc, char** argv) {
   LatencyFixture::instance();  // train outside the measured region
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  const std::vector<obs::ServeTickProfile> serve_tick = run_serve_tick_profile();
-  run_latency_quantiles(serve_tick);
+  obs::BenchDoc latency("latency_stages", exec::default_threads());
+  run_serve_tick_profile(latency);
+  run_latency_quantiles(latency);
+  std::cout << "wrote " << latency.write(output_dir()) << "\n";
   run_parallel_sweep();
   obs::write_run_report("sec6b5_latency");
   return 0;

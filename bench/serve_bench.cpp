@@ -19,7 +19,6 @@
 // int8 cell >= 3x (the ROADMAP-item-1 single-core throughput target).
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "common/config.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
+#include "exec/exec.hpp"
 #include "gesidnet/trainer.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
@@ -44,14 +44,38 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
+/// Sequential per-segment baseline at one concurrency level.
+struct Baseline {
+  std::uint64_t segments = 0;
+  double ms = 0.0;
+};
+
+/// One (sessions, batch_max, quant mode) cell of the serving sweep.
+struct Cell {
+  std::size_t sessions = 0;
+  std::size_t batch_max = 0;
+  std::string quant;           ///< quant_mode_name() of the published model
+  std::uint64_t segments = 0;  ///< completed segments entering the batcher
+  std::uint64_t results = 0;   ///< ServeResults emitted
+  std::uint64_t batches = 0;   ///< micro-batches flushed
+  std::uint64_t abstained = 0;
+  double ms = 0.0;             ///< serve wall time (stream in → drained)
+  double speedup = 0.0;        ///< baseline ms / ms
+};
+
+/// Forward-isolated f32-vs-int8 head-to-head (DESIGN.md §11).
+struct QuantSummary {
+  double f32_forward_ms = 0.0;
+  double int8_forward_ms = 0.0;
+  std::uint64_t argmax_mismatches = 0;  ///< (gesture,user) disagreements
+};
+
 /// Sequential per-segment baseline: segment + preprocess each recording
 /// (same pipeline work serve does), then classify() every segment one at a
-/// time on the unfused system. Returns (segments, ms).
-obs::ServeBaselineRow run_baseline(const std::vector<ContinuousRecording>& recordings,
-                                   const GesturePrintConfig& config,
-                                   const std::string& model_path) {
-  obs::ServeBaselineRow row;
-  row.sessions = recordings.size();
+/// time on the unfused system.
+Baseline run_baseline(const std::vector<ContinuousRecording>& recordings,
+                      const GesturePrintConfig& config, const std::string& model_path) {
+  Baseline row;
   GesturePrintSystem system(config);
   system.load(model_path);  // unfused: the offline classify() path
 
@@ -80,10 +104,10 @@ obs::ServeBaselineRow run_baseline(const std::vector<ContinuousRecording>& recor
 /// MetricsDelta baseline isolates this cell's gp.serve.* counter movement
 /// from every previous cell's, so the cross-check against MicroBatcher
 /// stats stays exact across the whole sweep.
-obs::ServeSweepCell run_serve_cell(const std::vector<ContinuousRecording>& recordings,
-                                   const serve::ServeConfig& serve_config,
-                                   serve::ModelRegistry& registry, bool& counters_ok) {
-  obs::ServeSweepCell cell;
+Cell run_serve_cell(const std::vector<ContinuousRecording>& recordings,
+                    const serve::ServeConfig& serve_config, serve::ModelRegistry& registry,
+                    bool& counters_ok) {
+  Cell cell;
   cell.sessions = recordings.size();
   cell.batch_max = serve_config.batch_max;
   cell.quant = nn::quant_mode_name(serve_config.quant);
@@ -142,10 +166,9 @@ obs::ServeSweepCell run_serve_cell(const std::vector<ContinuousRecording>& recor
 /// Forward-isolated f32-vs-int8 head-to-head: the same featurized segments
 /// through both fused gesture models, plus argmax agreement across both
 /// classification heads' logits.
-obs::ServeQuantSummary run_quant_head_to_head(const Dataset& dataset,
-                                              const GesturePrintConfig& config,
-                                              const std::string& model_path) {
-  obs::ServeQuantSummary summary;
+QuantSummary run_quant_head_to_head(const Dataset& dataset, const GesturePrintConfig& config,
+                                    const std::string& model_path) {
+  QuantSummary summary;
   GesturePrintSystem f32(config), i8(config);
   f32.load(model_path);
   i8.load(model_path);
@@ -167,12 +190,8 @@ obs::ServeQuantSummary run_quant_head_to_head(const Dataset& dataset,
     return ms_since(start) / static_cast<double>(reps);
   };
   const int reps = 20;
-  summary.measured = true;
   summary.f32_forward_ms = time_forward(f32.gesture_model(), reps);
   summary.int8_forward_ms = time_forward(i8.gesture_model(), reps);
-  summary.forward_speedup = summary.int8_forward_ms > 0.0
-                                ? summary.f32_forward_ms / summary.int8_forward_ms
-                                : 0.0;
 
   const nn::Tensor l32 = predict_logits(f32.gesture_model(), batch);
   const nn::Tensor l8 = predict_logits(i8.gesture_model(), batch);
@@ -237,14 +256,16 @@ int main() {
         generate_recording(spec, s % spec.num_users, script, 20260806 + s));
   }
 
-  std::vector<obs::ServeBaselineRow> baseline;
-  std::vector<obs::ServeSweepCell> cells;
+  obs::BenchDoc doc("serve", exec::default_threads());
+  std::vector<Cell> cells;
   bool counters_ok = true;
   for (std::size_t n : sessions_swept) {
     const std::vector<ContinuousRecording> recordings(all_recordings.begin(),
                                                       all_recordings.begin() + n);
-    baseline.push_back(run_baseline(recordings, config, model_path));
-    const obs::ServeBaselineRow& b = baseline.back();
+    const Baseline b = run_baseline(recordings, config, model_path);
+    const std::string sessions = "s" + std::to_string(n);
+    doc.add(sessions + ".sequential.segments", "count", static_cast<double>(b.segments));
+    doc.add(sessions + ".sequential.ms", "ms", b.ms);
     std::cout << "  sessions=" << n << " sequential: " << b.segments << " segments in "
               << b.ms << " ms\n";
     for (std::size_t bm : batch_max_swept) {
@@ -257,8 +278,15 @@ int main() {
         serve::ModelRegistry& registry =
             mode == nn::QuantMode::kInt8 ? registry_i8 : registry_f32;
         cells.push_back(run_serve_cell(recordings, serve_config, registry, counters_ok));
-        obs::ServeSweepCell& cell = cells.back();
+        Cell& cell = cells.back();
         cell.speedup = cell.ms > 0.0 ? b.ms / cell.ms : 0.0;
+        const std::string prefix = sessions + ".b" + std::to_string(bm) + "." + cell.quant;
+        doc.add(prefix + ".segments", "count", static_cast<double>(cell.segments));
+        doc.add(prefix + ".results", "count", static_cast<double>(cell.results));
+        doc.add(prefix + ".batches", "count", static_cast<double>(cell.batches));
+        doc.add(prefix + ".abstained", "count", static_cast<double>(cell.abstained));
+        doc.add(prefix + ".ms", "ms", cell.ms);
+        doc.add(prefix + ".speedup", "x", cell.speedup);
         std::cout << "  sessions=" << n << " batch_max=" << bm << " quant=" << cell.quant
                   << " serve: " << cell.segments << " segments, " << cell.batches
                   << " batches, " << cell.ms << " ms (speedup " << cell.speedup << "x)\n";
@@ -266,28 +294,32 @@ int main() {
     }
   }
 
-  obs::ServeQuantSummary quant = run_quant_head_to_head(dataset, config, model_path);
+  const QuantSummary quant = run_quant_head_to_head(dataset, config, model_path);
+  const double forward_speedup =
+      quant.int8_forward_ms > 0.0 ? quant.f32_forward_ms / quant.int8_forward_ms : 0.0;
+  double serve_speedup = 0.0;
   {
     // End-to-end serve ratio at the largest session count: best f32 cell
     // over best int8 cell (Amdahl-honest next to forward_speedup).
     double best_f32 = 0.0, best_i8 = 0.0;
-    for (const obs::ServeSweepCell& cell : cells) {
+    for (const Cell& cell : cells) {
       if (cell.sessions != sessions_swept.back()) continue;
       double& best = cell.quant == "int8" ? best_i8 : best_f32;
       if (cell.ms > 0.0) best = best == 0.0 ? cell.ms : std::min(best, cell.ms);
     }
-    quant.serve_speedup = best_i8 > 0.0 ? best_f32 / best_i8 : 0.0;
+    serve_speedup = best_i8 > 0.0 ? best_f32 / best_i8 : 0.0;
   }
+  doc.add("quant.f32_forward_ms", "ms", quant.f32_forward_ms);
+  doc.add("quant.int8_forward_ms", "ms", quant.int8_forward_ms);
+  doc.add("quant.forward_speedup", "x", forward_speedup);
+  doc.add("quant.serve_speedup", "x", serve_speedup);
+  doc.add("quant.argmax_mismatches", "count", static_cast<double>(quant.argmax_mismatches));
   std::cout << "  quant head-to-head: f32 forward " << quant.f32_forward_ms
             << " ms, int8 " << quant.int8_forward_ms << " ms (forward "
-            << quant.forward_speedup << "x, serve " << quant.serve_speedup
+            << forward_speedup << "x, serve " << serve_speedup
             << "x, argmax mismatches " << quant.argmax_mismatches << "/32)\n";
 
-  const std::string json =
-      obs::serve_bench_json(sessions_swept, batch_max_swept, baseline, cells, quant);
-  const std::string path = output_dir() + "/BENCH_serve.json";
-  std::ofstream(path) << json;
-  std::cout << "\nWrote " << path << "\n";
+  std::cout << "\nWrote " << doc.write(output_dir()) << "\n";
 
   // Self-check (CI gates on the exit code, no artifact parsing needed):
   //  1. every serve cell answered every segment it admitted;
@@ -299,7 +331,7 @@ int main() {
   bool ok = counters_ok;
   double best_f32_8plus = 0.0;
   double best_i8_8plus = 0.0;
-  for (const obs::ServeSweepCell& cell : cells) {
+  for (const Cell& cell : cells) {
     if (cell.results != cell.segments) {
       std::cout << "FAIL: sessions=" << cell.sessions << " batch_max=" << cell.batch_max
                 << " quant=" << cell.quant << " answered " << cell.results << "/"

@@ -1,264 +1,53 @@
 #include "obs/bench_json.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <fstream>
 #include <sstream>
+#include <thread>
+#include <utility>
 
+#include "common/error.hpp"
 #include "obs/json.hpp"
 
 namespace gp::obs {
 
-std::string latency_stages_json(int iterations,
-                                const std::vector<LatencyQuantileRow>& top_level,
-                                const std::vector<StageSnapshot>& stages,
-                                const std::vector<ServeTickProfile>& serve_tick) {
+BenchDoc::BenchDoc(std::string bench, std::size_t threads)
+    : bench_(std::move(bench)),
+      cores_(std::max(1u, std::thread::hardware_concurrency())),
+      threads_(threads) {}
+
+void BenchDoc::add(const std::string& metric, const std::string& unit, double value) {
+  check_arg(!metric.empty() && !unit.empty(), "BenchDoc metric needs a name and a unit");
+  check_arg(std::isfinite(value), "BenchDoc metric " + metric + " is not finite");
+  const bool duplicate = std::any_of(metrics_.begin(), metrics_.end(),
+                                     [&](const Metric& m) { return m.name == metric; });
+  check_arg(!duplicate, "BenchDoc metric " + metric + " added twice");
+  metrics_.push_back({metric, unit, value});
+}
+
+std::string BenchDoc::json() const {
   std::ostringstream out;
-  out << "{\n  \"iterations\": " << iterations << ",\n  \"top_level\": [\n";
-  for (std::size_t i = 0; i < top_level.size(); ++i) {
-    const LatencyQuantileRow& row = top_level[i];
-    out << "    {\"name\": \"" << json::escape(row.name) << "\", \"count\": " << row.hist.count
-        << ", \"mean_ms\": " << json::number(row.hist.mean())
-        << ", \"p50_ms\": " << json::number(row.hist.quantile(0.5))
-        << ", \"p95_ms\": " << json::number(row.hist.quantile(0.95))
-        << ", \"p99_ms\": " << json::number(row.hist.quantile(0.99)) << "}"
-        << (i + 1 < top_level.size() ? "," : "") << "\n";
+  out << "{\n  \"bench\": \"" << json::escape(bench_) << "\",\n  \"host\": {\"cores\": "
+      << cores_ << ", \"threads\": " << threads_ << "},\n  \"metrics\": {";
+  for (std::size_t i = 0; i < metrics_.size(); ++i) {
+    const Metric& m = metrics_[i];
+    out << (i ? ",\n" : "\n") << "    \"" << json::escape(m.name)
+        << "\": {\"value\": " << json::number(m.value) << ", \"unit\": \""
+        << json::escape(m.unit) << "\"}";
   }
-  out << "  ],\n  \"stages\": [\n";
-  std::size_t nonzero = 0;
-  for (const StageSnapshot& s : stages) nonzero += s.histogram.count > 0 ? 1 : 0;
-  std::size_t emitted = 0;
-  for (const StageSnapshot& s : stages) {
-    if (s.histogram.count == 0) continue;
-    ++emitted;
-    out << "    {\"name\": \"" << json::escape(s.name) << "\", \"min_depth\": " << s.min_depth
-        << ", \"count\": " << s.histogram.count
-        << ", \"total_ms\": " << json::number(s.histogram.sum)
-        << ", \"mean_ms\": " << json::number(s.histogram.mean())
-        << ", \"p50_ms\": " << json::number(s.histogram.quantile(0.5))
-        << ", \"p95_ms\": " << json::number(s.histogram.quantile(0.95))
-        << ", \"p99_ms\": " << json::number(s.histogram.quantile(0.99)) << "}"
-        << (emitted < nonzero ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"serve_tick\": [\n";
-  for (std::size_t i = 0; i < serve_tick.size(); ++i) {
-    const ServeTickProfile& p = serve_tick[i];
-    out << "    {\"phase\": \"" << json::escape(p.phase) << "\", \"ticks\": " << p.ticks
-        << ", \"p50_ms\": " << json::number(p.p50_ms)
-        << ", \"p95_ms\": " << json::number(p.p95_ms)
-        << ", \"p99_ms\": " << json::number(p.p99_ms)
-        << ", \"allocs_per_tick\": " << json::number(p.allocs_per_tick) << "}"
-        << (i + 1 < serve_tick.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  out << "\n  }\n}\n";
   return out.str();
 }
 
-std::string parallel_sweep_json(std::size_t hardware_concurrency,
-                                const std::vector<std::size_t>& threads,
-                                const std::vector<SweepStageSeries>& stages) {
-  std::ostringstream out;
-  out << "{\n  \"hardware_concurrency\": " << hardware_concurrency << ",\n  \"threads\": [";
-  for (std::size_t i = 0; i < threads.size(); ++i) out << (i ? ", " : "") << threads[i];
-  out << "],\n  \"stages\": [\n";
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    const SweepStageSeries& stage = stages[s];
-    out << "    {\"name\": \"" << json::escape(stage.name) << "\", \"ms\": [";
-    for (std::size_t i = 0; i < stage.ms.size(); ++i) {
-      out << (i ? ", " : "") << json::number(stage.ms[i]);
-    }
-    out << "], \"speedup\": [";
-    for (std::size_t i = 0; i < stage.ms.size(); ++i) {
-      const double speedup = stage.ms.empty() || stage.ms[i] == 0.0
-                                 ? 0.0
-                                 : stage.ms[0] / stage.ms[i];
-      out << (i ? ", " : "") << json::number(speedup);
-    }
-    out << "]}" << (s + 1 < stages.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
-std::string fault_sweep_json(double abstain_margin,
-                             const std::vector<double>& severities,
-                             const std::vector<FaultFamilySeries>& families) {
-  std::ostringstream out;
-  out << "{\n  \"abstain_margin\": " << json::number(abstain_margin)
-      << ",\n  \"severities\": [";
-  for (std::size_t i = 0; i < severities.size(); ++i) {
-    out << (i ? ", " : "") << json::number(severities[i]);
-  }
-  out << "],\n  \"families\": [\n";
-  for (std::size_t f = 0; f < families.size(); ++f) {
-    const FaultFamilySeries& family = families[f];
-    out << "    {\"kind\": \"" << json::escape(family.kind) << "\", \"rows\": [\n";
-    for (std::size_t i = 0; i < family.rows.size(); ++i) {
-      const FaultSweepRow& r = family.rows[i];
-      const double accuracy =
-          r.classified == 0 ? 0.0
-                            : static_cast<double>(r.correct) /
-                                  static_cast<double>(r.classified);
-      out << "      {\"severity\": " << json::number(r.severity)
-          << ", \"frames_in\": " << r.frames_in
-          << ", \"frames_delivered\": " << r.frames_delivered
-          << ", \"frames_dropped\": " << r.frames_dropped
-          << ", \"ghost_points\": " << r.ghost_points
-          << ", \"points_removed\": " << r.points_removed
-          << ", \"segments\": " << r.segments
-          << ", \"classified\": " << r.classified
-          << ", \"abstained\": " << r.abstained
-          << ", \"correct\": " << r.correct
-          << ", \"accuracy\": " << json::number(accuracy)
-          << ", \"uncaught_exceptions\": " << r.uncaught_exceptions << "}"
-          << (i + 1 < family.rows.size() ? "," : "") << "\n";
-    }
-    out << "    ]}" << (f + 1 < families.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
-std::string serve_bench_json(const std::vector<std::size_t>& sessions_swept,
-                             const std::vector<std::size_t>& batch_max_swept,
-                             const std::vector<ServeBaselineRow>& baseline,
-                             const std::vector<ServeSweepCell>& cells,
-                             const ServeQuantSummary& quant) {
-  std::ostringstream out;
-  out << "{\n  \"sessions\": [";
-  for (std::size_t i = 0; i < sessions_swept.size(); ++i) {
-    out << (i ? ", " : "") << sessions_swept[i];
-  }
-  out << "],\n  \"batch_max\": [";
-  for (std::size_t i = 0; i < batch_max_swept.size(); ++i) {
-    out << (i ? ", " : "") << batch_max_swept[i];
-  }
-  out << "],\n  \"baseline\": [\n";
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    const ServeBaselineRow& b = baseline[i];
-    out << "    {\"sessions\": " << b.sessions << ", \"segments\": " << b.segments
-        << ", \"ms\": " << json::number(b.ms) << "}"
-        << (i + 1 < baseline.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ServeSweepCell& c = cells[i];
-    out << "    {\"sessions\": " << c.sessions << ", \"batch_max\": " << c.batch_max
-        << ", \"quant\": \"" << json::escape(c.quant) << "\""
-        << ", \"segments\": " << c.segments << ", \"results\": " << c.results
-        << ", \"batches\": " << c.batches << ", \"abstained\": " << c.abstained
-        << ", \"ms\": " << json::number(c.ms)
-        << ", \"speedup\": " << json::number(c.speedup) << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"quant\": {\"measured\": " << (quant.measured ? "true" : "false")
-      << ", \"f32_forward_ms\": " << json::number(quant.f32_forward_ms)
-      << ", \"int8_forward_ms\": " << json::number(quant.int8_forward_ms)
-      << ", \"forward_speedup\": " << json::number(quant.forward_speedup)
-      << ", \"serve_speedup\": " << json::number(quant.serve_speedup)
-      << ", \"argmax_mismatches\": " << quant.argmax_mismatches << "}\n}\n";
-  return out.str();
-}
-
-std::string gemm_bench_json(std::size_t threads, const std::vector<GemmBenchRow>& rows) {
-  std::ostringstream out;
-  out << "{\n  \"threads\": " << threads << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const GemmBenchRow& r = rows[i];
-    out << "    {\"kernel\": \"" << json::escape(r.kernel) << "\", \"m\": " << r.m
-        << ", \"k\": " << r.k << ", \"n\": " << r.n
-        << ", \"ref_ms\": " << json::number(r.ref_ms)
-        << ", \"opt_ms\": " << json::number(r.opt_ms)
-        << ", \"speedup\": " << json::number(r.speedup)
-        << ", \"gflops\": " << json::number(r.gflops)
-        << ", \"check\": \"" << json::escape(r.check) << "\"}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
-std::string health_bench_json(std::size_t reps, std::size_t ticks_per_rep,
-                              const std::vector<HealthBenchRow>& rows,
-                              double overhead_p50_pct, bool bitwise_identical,
-                              const std::string& verdict, std::uint64_t verdict_flips,
-                              std::uint64_t flightrec_events) {
-  std::ostringstream out;
-  out << "{\n  \"reps\": " << reps << ",\n  \"ticks_per_rep\": " << ticks_per_rep
-      << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const HealthBenchRow& r = rows[i];
-    out << "    {\"mode\": \"" << json::escape(r.mode) << "\", \"ticks\": " << r.ticks
-        << ", \"results\": " << r.results << ", \"p50_us\": " << json::number(r.p50_us)
-        << ", \"p95_us\": " << json::number(r.p95_us)
-        << ", \"p99_us\": " << json::number(r.p99_us) << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"overhead_p50_pct\": " << json::number(overhead_p50_pct)
-      << ",\n  \"bitwise_identical\": " << (bitwise_identical ? "true" : "false")
-      << ",\n  \"verdict\": \"" << json::escape(verdict) << "\""
-      << ",\n  \"verdict_flips\": " << verdict_flips
-      << ",\n  \"flightrec_events\": " << flightrec_events << "\n}\n";
-  return out.str();
-}
-
-std::string cluster_bench_json(std::size_t sessions,
-                               const std::vector<std::size_t>& workers_swept,
-                               const std::vector<ClusterSweepCell>& cells,
-                               const ClusterFailoverSummary& failover) {
-  std::ostringstream out;
-  out << "{\n  \"sessions\": " << sessions << ",\n  \"workers\": [";
-  for (std::size_t i = 0; i < workers_swept.size(); ++i) {
-    out << (i ? ", " : "") << workers_swept[i];
-  }
-  out << "],\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ClusterSweepCell& c = cells[i];
-    out << "    {\"workers\": " << c.workers << ", \"frames\": " << c.frames
-        << ", \"results\": " << c.results << ", \"rpc_calls\": " << c.rpc_calls
-        << ", \"rpc_attempts\": " << c.rpc_attempts
-        << ", \"checkpoints\": " << c.checkpoints << ", \"ms\": " << json::number(c.ms)
-        << ", \"bitwise_vs_single\": " << (c.bitwise_vs_single ? "true" : "false") << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"failover\": {\n    \"measured\": "
-      << (failover.measured ? "true" : "false") << ",\n    \"workers\": "
-      << failover.workers << ",\n    \"evictions\": " << failover.evictions
-      << ",\n    \"migrations\": " << failover.migrations
-      << ",\n    \"respawns\": " << failover.respawns
-      << ",\n    \"results\": " << failover.results
-      << ",\n    \"shed\": " << failover.shed
-      << ",\n    \"ms\": " << json::number(failover.ms)
-      << ",\n    \"bitwise_identical\": "
-      << (failover.bitwise_identical ? "true" : "false") << "\n  }\n}\n";
-  return out.str();
-}
-
-std::string enroll_bench_json(std::size_t k_segments, std::size_t max_candidates,
-                              const std::vector<EnrollOpenSetRow>& open_set,
-                              const EnrollServeSummary& serve,
-                              const EnrollLatencySummary& to_live) {
-  std::ostringstream out;
-  out << "{\n  \"k_segments\": " << k_segments
-      << ",\n  \"max_candidates\": " << max_candidates << ",\n  \"open_set\": [\n";
-  for (std::size_t i = 0; i < open_set.size(); ++i) {
-    const EnrollOpenSetRow& r = open_set[i];
-    out << "    {\"phase\": \"" << json::escape(r.phase) << "\", \"eer\": " << json::number(r.eer)
-        << ", \"threshold\": " << json::number(r.threshold)
-        << ", \"genuine_accept\": " << json::number(r.genuine_accept)
-        << ", \"newcomer_reject\": " << json::number(r.newcomer_reject) << "}"
-        << (i + 1 < open_set.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"serve\": {\n    \"ticks\": " << serve.ticks
-      << ",\n    \"results\": " << serve.results
-      << ",\n    \"expected_results\": " << serve.expected_results
-      << ",\n    \"novelty_rejections\": " << serve.novelty_rejections
-      << ",\n    \"candidates_founded\": " << serve.candidates_founded
-      << ",\n    \"fine_tunes\": " << serve.fine_tunes
-      << ",\n    \"users_enrolled\": " << serve.users_enrolled
-      << ",\n    \"published_version\": " << serve.published_version
-      << "\n  },\n  \"to_live_ms\": {\"count\": " << to_live.count
-      << ", \"p50_ms\": " << json::number(to_live.p50_ms)
-      << ", \"p95_ms\": " << json::number(to_live.p95_ms)
-      << ", \"p99_ms\": " << json::number(to_live.p99_ms) << "}\n}\n";
-  return out.str();
+std::string BenchDoc::write(const std::string& dir) const {
+  const std::string path = dir + "/BENCH_" + bench_ + ".json";
+  std::ofstream out(path, std::ios::binary);
+  check(static_cast<bool>(out), "cannot open " + path + " for writing");
+  out << json();
+  out.flush();
+  check(static_cast<bool>(out), "failed writing " + path);
+  return path;
 }
 
 }  // namespace gp::obs

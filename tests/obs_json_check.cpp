@@ -1,11 +1,16 @@
-// obs-smoke checker: validates the artifacts a traced run leaves behind.
+// obs-smoke checker: validates the artifacts a traced run or a bench leaves
+// behind.
 //
 //   obs_json_check REPORT_x.json [TRACE_x.json]
+//   obs_json_check BENCH_x.json
 //
 // Checks, using the in-tree JSON parser (no external deps):
-//   * the report parses, carries name/wall_clock_s/stages/metrics, and the
-//     top-level stages (min_depth == 0) account for the wall clock within
-//     10% — the "stage latencies sum to the run" invariant;
+//   * a document with a "bench" key is an obs::BenchDoc: exactly the
+//     bench/host/metrics keys, a host with cores and threads >= 1, and at
+//     least one metric, each with a non-empty unit and a finite value;
+//   * otherwise the report parses, carries name/wall_clock_s/stages/metrics,
+//     and the top-level stages (min_depth == 0) account for the wall clock
+//     within 10% — the "stage latencies sum to the run" invariant;
 //   * the trace parses as Chrome trace-event JSON: a traceEvents array of
 //     complete ("X") events with non-negative timestamps and durations,
 //     loadable as-is in chrome://tracing or Perfetto.
@@ -39,9 +44,29 @@ std::string slurp(const std::string& path) {
   std::exit(1);
 }
 
-void check_report(const std::string& path) {
-  const Value doc = gp::obs::json::parse(slurp(path));
-  if (!doc.is_object()) fail("report root is not an object");
+void check_bench(const Value& doc, const std::string& path) {
+  if (doc.obj.size() != 3) fail("bench document has keys besides bench/host/metrics");
+  if (!doc.at("bench").is_string() || doc.at("bench").str.empty()) fail("bench is not a name");
+  const Value& host = doc.at("host");
+  for (const char* key : {"cores", "threads"}) {
+    if (!host.at(key).is_number() || host.at(key).num < 1.0) {
+      fail(std::string("host.") + key + " is not a count >= 1");
+    }
+  }
+  const Value& metrics = doc.at("metrics");
+  if (!metrics.is_object() || metrics.obj.empty()) fail("metrics is not a non-empty object");
+  for (const auto& [name, metric] : metrics.obj) {
+    if (!metric.at("unit").is_string() || metric.at("unit").str.empty()) {
+      fail("metric " + name + " has no unit");
+    }
+    if (!metric.at("value").is_number() || !std::isfinite(metric.at("value").num)) {
+      fail("metric " + name + " has no finite value");
+    }
+  }
+  std::cout << "bench ok: " << path << " (" << metrics.obj.size() << " metrics)\n";
+}
+
+void check_report(const Value& doc, const std::string& path) {
   if (!doc.at("name").is_string()) fail("report.name is not a string");
   if (!doc.at("wall_clock_s").is_number()) fail("report.wall_clock_s is not a number");
   if (!doc.at("metrics").is_object()) fail("report.metrics is not an object");
@@ -103,11 +128,17 @@ void check_trace(const std::string& path) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::cerr << "usage: obs_json_check REPORT.json [TRACE.json]\n";
+    std::cerr << "usage: obs_json_check REPORT.json [TRACE.json] | BENCH.json\n";
     return 1;
   }
   try {
-    check_report(argv[1]);
+    const Value doc = gp::obs::json::parse(slurp(argv[1]));
+    if (!doc.is_object()) fail("document root is not an object");
+    if (doc.find("bench") != nullptr) {
+      check_bench(doc, argv[1]);
+    } else {
+      check_report(doc, argv[1]);
+    }
     if (argc > 2) check_trace(argv[2]);
   } catch (const std::exception& e) {
     std::cerr << "obs_json_check: FAIL: " << e.what() << "\n";

@@ -14,9 +14,9 @@
 // source-tree tests/golden via the GP_GOLDEN_DEFAULT_DIR compile def).
 //
 // Also pinned here: the *schemas* of the machine-readable artifacts
-// (REPORT_*.json from obs, BENCH_latency_stages.json / BENCH_parallel.json
-// from the bench harness) — value drift is invisible, added/removed/retyped
-// fields are not.
+// (REPORT_*.json from obs, the obs::BenchDoc shape every BENCH_*.json
+// shares, the health snapshot) — value drift is invisible,
+// added/removed/retyped fields are not.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -228,131 +228,16 @@ TEST(GoldenSnapshot, RunReportSchemaMatchesGolden) {
   EXPECT_TRUE(outcome.ok) << outcome.message;
 }
 
-TEST(GoldenSnapshot, BenchJsonSchemasMatchGolden) {
-  obs::set_metrics_enabled(true);
-  obs::Histogram& h = obs::histogram("gp.golden.bench_ms");
-  for (int i = 1; i <= 8; ++i) h.observe(0.5 * i);
-  obs::StageSnapshot stage;
-  stage.name = "golden.stage";
-  stage.histogram = h.snapshot();
-  stage.min_depth = 0;
-
-  // Serve-tick exemplar rows (bench/sec6b5_latency.cpp): the cold/steady
-  // memory profile of the zero-copy frame path, values arbitrary.
-  obs::ServeTickProfile cold;
-  cold.phase = "cold";
-  cold.ticks = 142;
-  cold.p50_ms = 0.01;
-  cold.p95_ms = 0.5;
-  cold.p99_ms = 9.0;
-  cold.allocs_per_tick = 180.0;
-  obs::ServeTickProfile steady = cold;
-  steady.phase = "steady";
-  steady.allocs_per_tick = 0.0;
-
-  const std::string latency = obs::latency_stages_json(
-      8, {{"preprocessing", h.snapshot()}, {"end_to_end", h.snapshot()}}, {stage},
-      {cold, steady});
-  const std::string parallel = obs::parallel_sweep_json(
-      8, {1, 2, 4}, {{"gemm_kernel", {10.0, 6.0, 4.0}}, {"train_epoch", {20.0, 12.0, 8.0}}});
+TEST(GoldenSnapshot, BenchDocSchemaMatchesGolden) {
+  // Every BENCH_*.json is an obs::BenchDoc: one exemplar metric pins the
+  // header and the {value, unit} metric shape, values arbitrary.
+  obs::BenchDoc doc("golden", 4);
+  doc.add("stage.p50_ms", "ms", 1.5);
 
   testkit::Snapshot snap;
-  snap.add(testkit::summarize_json_schema("bench.latency_stages_schema",
-                                          obs::json::parse(latency)));
-  snap.add(testkit::summarize_json_schema("bench.parallel_schema",
-                                          obs::json::parse(parallel)));
+  snap.add(testkit::summarize_json_schema("bench.doc_schema", obs::json::parse(doc.json())));
   const testkit::GoldenOutcome outcome =
       testkit::check_golden(g_golden, "bench_schemas", snap);
-  if (outcome.updated) std::cout << outcome.message;
-  EXPECT_TRUE(outcome.ok) << outcome.message;
-}
-
-TEST(GoldenSnapshot, FaultSweepSchemaMatchesGolden) {
-  // Exemplar BENCH_faults.json (bench/fault_sweep.cpp): two families, two
-  // severities, values arbitrary — only the key-path set is pinned.
-  obs::FaultSweepRow row;
-  row.severity = 0.5;
-  row.frames_in = 100;
-  row.frames_delivered = 80;
-  row.frames_dropped = 20;
-  row.ghost_points = 7;
-  row.points_removed = 13;
-  row.segments = 5;
-  row.classified = 4;
-  row.abstained = 1;
-  row.correct = 3;
-  const std::string faults = obs::fault_sweep_json(
-      0.1, {0.0, 0.5},
-      {{"frame_drop", {obs::FaultSweepRow{}, row}}, {"mixed", {row}}});
-
-  testkit::Snapshot snap;
-  snap.add(testkit::summarize_json_schema("bench.faults_schema",
-                                          obs::json::parse(faults)));
-  const testkit::GoldenOutcome outcome =
-      testkit::check_golden(g_golden, "bench_faults_schema", snap);
-  if (outcome.updated) std::cout << outcome.message;
-  EXPECT_TRUE(outcome.ok) << outcome.message;
-}
-
-TEST(GoldenSnapshot, ServeBenchSchemaMatchesGolden) {
-  // Exemplar BENCH_serve.json (bench/serve_bench.cpp): the key-path set of
-  // the serving-throughput artifact, values arbitrary.
-  obs::ServeBaselineRow baseline;
-  baseline.sessions = 8;
-  baseline.segments = 45;
-  baseline.ms = 330.0;
-  obs::ServeSweepCell cell;
-  cell.sessions = 8;
-  cell.batch_max = 8;
-  cell.quant = "int8";
-  cell.segments = 45;
-  cell.results = 45;
-  cell.batches = 41;
-  cell.abstained = 2;
-  cell.ms = 104.0;
-  cell.speedup = 3.17;
-  obs::ServeQuantSummary quant;
-  quant.measured = true;
-  quant.f32_forward_ms = 12.0;
-  quant.int8_forward_ms = 10.0;
-  quant.forward_speedup = 1.2;
-  quant.serve_speedup = 1.1;
-  quant.argmax_mismatches = 0;
-  const std::string serve = obs::serve_bench_json(
-      {1, 8}, {1, 8}, {baseline}, {obs::ServeSweepCell{}, cell}, quant);
-
-  testkit::Snapshot snap;
-  snap.add(testkit::summarize_json_schema("bench.serve_schema",
-                                          obs::json::parse(serve)));
-  const testkit::GoldenOutcome outcome =
-      testkit::check_golden(g_golden, "bench_serve_schema", snap);
-  if (outcome.updated) std::cout << outcome.message;
-  EXPECT_TRUE(outcome.ok) << outcome.message;
-}
-
-TEST(GoldenSnapshot, GemmBenchSchemaMatchesGolden) {
-  // Exemplar BENCH_gemm.json (bench/gemm_bench.cpp): blocked-kernel vs
-  // naive-reference rows plus the int8 fused-layer row, values arbitrary.
-  obs::GemmBenchRow mm;
-  mm.kernel = "matmul";
-  mm.m = 64;
-  mm.k = 96;
-  mm.n = 128;
-  mm.ref_ms = 4.0;
-  mm.opt_ms = 1.0;
-  mm.speedup = 4.0;
-  mm.gflops = 1.5;
-  mm.check = "bitwise";
-  obs::GemmBenchRow bt = mm;
-  bt.kernel = "matmul_bt";
-  bt.check = "band";
-  const std::string gemm = obs::gemm_bench_json(1, {mm, bt});
-
-  testkit::Snapshot snap;
-  snap.add(testkit::summarize_json_schema("bench.gemm_schema",
-                                          obs::json::parse(gemm)));
-  const testkit::GoldenOutcome outcome =
-      testkit::check_golden(g_golden, "bench_gemm_schema", snap);
   if (outcome.updated) std::cout << outcome.message;
   EXPECT_TRUE(outcome.ok) << outcome.message;
 }
@@ -383,100 +268,11 @@ TEST(GoldenSnapshot, HealthJsonSchemasMatchGolden) {
   monitor.close_tick(1, counts);
   const std::string snapshot_json = monitor.snapshot().to_json();
 
-  // Exemplar BENCH_health.json (bench/health_bench.cpp): values arbitrary,
-  // only the key-path set is pinned.
-  obs::HealthBenchRow off;
-  off.mode = "off";
-  off.ticks = 40;
-  off.results = 36;
-  off.p50_us = 52.0;
-  off.p95_us = 410.0;
-  off.p99_us = 2200.0;
-  obs::HealthBenchRow on = off;
-  on.mode = "on";
-  on.p50_us = 52.5;
-  const std::string bench = obs::health_bench_json(5, 40, {off, on}, 0.9, true,
-                                                   "healthy", 0, 17);
-
   testkit::Snapshot snap;
   snap.add(testkit::summarize_json_schema("health.snapshot_schema",
                                           obs::json::parse(snapshot_json)));
-  snap.add(testkit::summarize_json_schema("bench.health_schema",
-                                          obs::json::parse(bench)));
   const testkit::GoldenOutcome outcome =
       testkit::check_golden(g_golden, "bench_health_schema", snap);
-  if (outcome.updated) std::cout << outcome.message;
-  EXPECT_TRUE(outcome.ok) << outcome.message;
-}
-
-TEST(GoldenSnapshot, ClusterBenchSchemaMatchesGolden) {
-  // Exemplar BENCH_cluster.json (bench/cluster_bench.cpp): the key-path set
-  // of the crash-tolerance artifact, values arbitrary.
-  obs::ClusterSweepCell cell;
-  cell.workers = 2;
-  cell.frames = 540;
-  cell.results = 9;
-  cell.rpc_calls = 730;
-  cell.rpc_attempts = 730;
-  cell.checkpoints = 22;
-  cell.ms = 880.0;
-  cell.bitwise_vs_single = true;
-  obs::ClusterFailoverSummary failover;
-  failover.measured = true;
-  failover.workers = 2;
-  failover.evictions = 1;
-  failover.migrations = 2;
-  failover.respawns = 1;
-  failover.results = 9;
-  failover.shed = 0;
-  failover.ms = 950.0;
-  failover.bitwise_identical = true;
-  const std::string bench =
-      obs::cluster_bench_json(3, {1, 2, 3}, {obs::ClusterSweepCell{}, cell}, failover);
-
-  testkit::Snapshot snap;
-  snap.add(testkit::summarize_json_schema("bench.cluster_schema",
-                                          obs::json::parse(bench)));
-  const testkit::GoldenOutcome outcome =
-      testkit::check_golden(g_golden, "bench_cluster_schema", snap);
-  if (outcome.updated) std::cout << outcome.message;
-  EXPECT_TRUE(outcome.ok) << outcome.message;
-}
-
-TEST(GoldenSnapshot, EnrollBenchSchemaMatchesGolden) {
-  // Exemplar BENCH_enroll.json (bench/enroll_bench.cpp): the key-path set of
-  // the enrollment-as-a-service artifact, values arbitrary.
-  obs::EnrollOpenSetRow before;
-  before.phase = "before";
-  before.eer = 0.21;
-  before.threshold = 2.4;
-  before.genuine_accept = 0.95;
-  before.newcomer_reject = 0.88;
-  obs::EnrollOpenSetRow after = before;
-  after.phase = "after";
-  after.eer = 0.04;
-  after.newcomer_reject = 0.1;
-  obs::EnrollServeSummary serve;
-  serve.ticks = 160;
-  serve.results = 9;
-  serve.expected_results = 9;
-  serve.novelty_rejections = 6;
-  serve.candidates_founded = 1;
-  serve.fine_tunes = 1;
-  serve.users_enrolled = 1;
-  serve.published_version = 2;
-  obs::EnrollLatencySummary to_live;
-  to_live.count = 1;
-  to_live.p50_ms = 850.0;
-  to_live.p95_ms = 850.0;
-  to_live.p99_ms = 850.0;
-  const std::string bench = obs::enroll_bench_json(4, 4, {before, after}, serve, to_live);
-
-  testkit::Snapshot snap;
-  snap.add(testkit::summarize_json_schema("bench.enroll_schema",
-                                          obs::json::parse(bench)));
-  const testkit::GoldenOutcome outcome =
-      testkit::check_golden(g_golden, "bench_enroll_schema", snap);
   if (outcome.updated) std::cout << outcome.message;
   EXPECT_TRUE(outcome.ok) << outcome.message;
 }

@@ -1,19 +1,31 @@
 // gp::obs tests: metric exactness under thread contention, span nesting,
 // trace export well-formedness (the emitted JSON is parsed back with the
-// in-tree parser), disabled-mode overhead sanity, and the determinism
+// in-tree parser), the BENCH_*.json document (obs::BenchDoc) round trip and
+// its refusals, disabled-mode overhead sanity, and the determinism
 // contract (instrumentation must never perturb model numerics).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "gesidnet/batch.hpp"
 #include "gesidnet/gesidnet.hpp"
 #include "gesidnet/trainer.hpp"
+#include "common/error.hpp"
 #include "nn/tensor.hpp"
+#include "obs/bench_json.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -133,6 +145,78 @@ TEST(ObsMetrics, RegistryJsonParsesBack) {
   const obs::json::Value& hist = doc.at("histograms").at("gp.test.json_histogram");
   EXPECT_GE(hist.at("count").num, 1.0);
   EXPECT_GT(hist.at("p50").num, 0.0);
+}
+
+// ---------------------------------------------------------- bench document
+
+TEST(ObsBenchDoc, JsonParsesBackWithHeaderAndMetricsInOrder) {
+  obs::BenchDoc doc("unit", 3);
+  const std::vector<std::tuple<std::string, std::string, double>> metrics{
+      {"s8.b8.int8.ms", "ms", 0.1},
+      {"a.count", "count", 12345678901.0},
+      {"bitwise", "bool", 1.0},
+      {"tiny", "ratio", -2.2250738585072014e-308},
+      {"odd \"name\"", "x", 1.0 / 3.0},
+  };
+  for (const auto& [name, unit, value] : metrics) doc.add(name, unit, value);
+
+  const obs::json::Value parsed = obs::json::parse(doc.json());
+  ASSERT_TRUE(parsed.is_object());
+  ASSERT_EQ(parsed.obj.size(), 3u);  // header and metrics, nothing else
+  EXPECT_EQ(parsed.at("bench").str, "unit");
+  const obs::json::Value& host = parsed.at("host");
+  EXPECT_EQ(host.at("cores").num,
+            static_cast<double>(std::max(1u, std::thread::hardware_concurrency())));
+  EXPECT_EQ(host.at("threads").num, 3.0);
+
+  const obs::json::Value& rows = parsed.at("metrics");
+  ASSERT_EQ(rows.obj.size(), metrics.size());
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    const auto& [name, unit, value] = metrics[i];
+    EXPECT_EQ(rows.obj[i].first, name);
+    EXPECT_EQ(rows.obj[i].second.at("unit").str, unit);
+    EXPECT_EQ(rows.obj[i].second.at("value").num, value) << name;
+  }
+}
+
+TEST(ObsBenchDoc, RefusesDuplicateAndNonFiniteMetrics) {
+  obs::BenchDoc doc("unit", 1);
+  doc.add("ms", "ms", 1.0);
+  EXPECT_THROW(doc.add("ms", "ms", 2.0), InvalidArgument);
+  EXPECT_THROW(doc.add("nan", "ms", std::nan("")), InvalidArgument);
+  EXPECT_THROW(doc.add("inf", "ms", std::numeric_limits<double>::infinity()), InvalidArgument);
+  EXPECT_THROW(doc.add("ninf", "ms", -std::numeric_limits<double>::infinity()),
+               InvalidArgument);
+  EXPECT_THROW(doc.add("unitless", "", 1.0), InvalidArgument);
+  EXPECT_EQ(obs::json::parse(doc.json()).at("metrics").obj.size(), 1u);
+}
+
+TEST(ObsBenchDoc, WriteLandsInDirAndFailsLoudlyUnderAFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("gp_bench_doc_" + std::to_string(static_cast<long long>(::getpid())));
+  std::filesystem::create_directories(dir);
+  obs::BenchDoc doc("unit", 1);
+  doc.add("ms", "ms", 1.0);
+
+  const std::string path = doc.write(dir.string());
+  EXPECT_EQ(path, (dir / "BENCH_unit.json").string());
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, doc.json());
+
+  // A regular file where the directory should be: nothing can be written,
+  // and write() must say so instead of claiming success.
+  const std::filesystem::path file = dir / "not_a_dir";
+  std::ofstream(file) << "x";
+  try {
+    doc.write(file.string());
+    ADD_FAILURE() << "write() under a regular file did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(file.string()), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------------- spans

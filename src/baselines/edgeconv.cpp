@@ -14,27 +14,33 @@ EdgeConvBaseline::EdgeConvBaseline(EdgeConvConfig config, Rng& rng) : config_(st
   head_ = std::make_unique<nn::Sequential>();
   head_->emplace<nn::Linear>(config_.global_mlp.back(), config_.head_hidden, rng, "edge.fc0");
   head_->emplace<nn::ReLU>();
-  head_->emplace<nn::Dropout>(config_.dropout, rng);
+  nn::Dropout& dropout = head_->emplace<nn::Dropout>(config_.dropout, rng);
   head_->emplace<nn::Linear>(config_.head_hidden, config_.num_classes, rng, "edge.fc1");
+  dropout.reseed(rng);  // masks continue the construction stream
 }
 
-nn::Tensor EdgeConvBaseline::forward_internal(const BatchedCloud& batch, bool training) {
+template <typename RunMlp>
+void EdgeConvBaseline::pass(const BatchedCloud& batch, nn::Tensor& logits, nn::Workspace& ws,
+                            std::vector<std::size_t>* edge_argmax,
+                            std::vector<std::size_t>* global_argmax, RunMlp&& run_mlp) const {
   check_arg(batch.channels() == config_.in_channels, "EdgeConv channel mismatch");
   check_arg(config_.time_channel < batch.channels(), "bad time channel index");
-  batch_ = batch.batch;
-  num_points_ = batch.num_points;
-  const std::size_t k = std::min(config_.k, num_points_);
+  const nn::Workspace::Frame frame(ws);
+  const std::size_t num_batch = batch.batch;
+  const std::size_t num_points = batch.num_points;
+  const std::size_t k = std::min(config_.k, num_points);
 
   // Temporal kNN per sample (space-time metric).
-  neighbours_.assign(batch_ * num_points_ * k, 0);
-  for (std::size_t b = 0; b < batch_; ++b) {
-    const std::size_t base = b * num_points_;
-    for (std::size_t i = 0; i < num_points_; ++i) {
-      std::vector<std::pair<double, std::size_t>> dist;
-      dist.reserve(num_points_);
+  auto& neighbours = ws.take<std::vector<std::size_t>>();
+  neighbours.resize(num_batch * num_points * k);
+  auto& dist = ws.take<std::vector<std::pair<double, std::size_t>>>();
+  for (std::size_t b = 0; b < num_batch; ++b) {
+    const std::size_t base = b * num_points;
+    for (std::size_t i = 0; i < num_points; ++i) {
+      dist.clear();
       const float* pi = batch.positions.row(base + i);
       const double ti = batch.features.at(base + i, config_.time_channel);
-      for (std::size_t j = 0; j < num_points_; ++j) {
+      for (std::size_t j = 0; j < num_points; ++j) {
         const float* pj = batch.positions.row(base + j);
         const double dt = (batch.features.at(base + j, config_.time_channel) - ti) *
                           config_.time_scale;
@@ -45,18 +51,19 @@ nn::Tensor EdgeConvBaseline::forward_internal(const BatchedCloud& batch, bool tr
       }
       std::partial_sort(dist.begin(), dist.begin() + static_cast<std::ptrdiff_t>(k), dist.end());
       for (std::size_t n = 0; n < k; ++n) {
-        neighbours_[(base + i) * k + n] = dist[n].second;
+        neighbours[(base + i) * k + n] = dist[n].second;
       }
     }
   }
 
   // Edge rows: [feat_i | feat_j - feat_i].
   const std::size_t c_in = config_.in_channels;
-  nn::Tensor edges(batch_ * num_points_ * k, 2 * c_in);
-  for (std::size_t r = 0; r < batch_ * num_points_; ++r) {
+  nn::Tensor& edges = ws.take<nn::Tensor>();
+  edges.resize(num_batch * num_points * k, 2 * c_in);
+  for (std::size_t r = 0; r < num_batch * num_points; ++r) {
     const float* fi = batch.features.row(r);
     for (std::size_t n = 0; n < k; ++n) {
-      const float* fj = batch.features.row(neighbours_[r * k + n]);
+      const float* fj = batch.features.row(neighbours[r * k + n]);
       float* dst = edges.row(r * k + n);
       for (std::size_t c = 0; c < c_in; ++c) {
         dst[c] = fi[c];
@@ -66,50 +73,26 @@ nn::Tensor EdgeConvBaseline::forward_internal(const BatchedCloud& batch, bool tr
   }
 
   // Shared edge MLP + max over the k edges per point.
-  const nn::Tensor edge_act = edge_mlp_->forward(edges, training);
+  nn::Tensor& edge_act = ws.take<nn::Tensor>();
+  run_mlp(*edge_mlp_, edges, edge_act);
   const std::size_t ce = config_.edge_mlp.back();
-  nn::Tensor point_features(batch_ * num_points_, ce);
-  edge_argmax_.assign(batch_ * num_points_ * ce, 0);
-  for (std::size_t r = 0; r < batch_ * num_points_; ++r) {
-    float* dst = point_features.row(r);
-    for (std::size_t c = 0; c < ce; ++c) {
-      std::size_t best = r * k;
-      float best_v = edge_act.at(best, c);
-      for (std::size_t n = 1; n < k; ++n) {
-        const float v = edge_act.at(r * k + n, c);
-        if (v > best_v) {
-          best_v = v;
-          best = r * k + n;
-        }
-      }
-      dst[c] = best_v;
-      edge_argmax_[r * ce + c] = best;
-    }
-  }
+  nn::Tensor& point_features = ws.take<nn::Tensor>();
+  point_features.resize(num_batch * num_points, ce);
+  if (edge_argmax != nullptr) edge_argmax->resize(num_batch * num_points * ce);
+  nn::max_pool_rows(edge_act, num_batch * num_points, k, point_features, 0,
+                    edge_argmax != nullptr ? edge_argmax->data() : nullptr);
 
   // Global MLP on per-point features + max pool over each sample.
-  const nn::Tensor global_act = global_mlp_->forward(point_features, training);
+  nn::Tensor& global_act = ws.take<nn::Tensor>();
+  run_mlp(*global_mlp_, point_features, global_act);
   const std::size_t cg = config_.global_mlp.back();
-  nn::Tensor global(batch_, cg);
-  global_argmax_.assign(batch_ * cg, 0);
-  for (std::size_t b = 0; b < batch_; ++b) {
-    float* dst = global.row(b);
-    for (std::size_t c = 0; c < cg; ++c) {
-      std::size_t best = b * num_points_;
-      float best_v = global_act.at(best, c);
-      for (std::size_t i = 1; i < num_points_; ++i) {
-        const float v = global_act.at(b * num_points_ + i, c);
-        if (v > best_v) {
-          best_v = v;
-          best = b * num_points_ + i;
-        }
-      }
-      dst[c] = best_v;
-      global_argmax_[b * cg + c] = best;
-    }
-  }
+  nn::Tensor& global = ws.take<nn::Tensor>();
+  global.resize(num_batch, cg);
+  if (global_argmax != nullptr) global_argmax->resize(num_batch * cg);
+  nn::max_pool_rows(global_act, num_batch, num_points, global, 0,
+                    global_argmax != nullptr ? global_argmax->data() : nullptr);
 
-  return head_->forward(global, training);
+  run_mlp(*head_, global, logits);
 }
 
 void EdgeConvBaseline::backward_internal(const nn::Tensor& dlogits) {
@@ -136,12 +119,22 @@ void EdgeConvBaseline::backward_internal(const nn::Tensor& dlogits) {
   (void)edge_mlp_->backward(dedge_act);  // input features are leaves
 }
 
-nn::Tensor EdgeConvBaseline::infer(const BatchedCloud& batch) {
-  return forward_internal(batch, /*training=*/false);
+void EdgeConvBaseline::infer_into(const BatchedCloud& batch, nn::Tensor& out,
+                                  nn::Workspace& ws) const {
+  pass(batch, out, ws, nullptr, nullptr,
+       [&](const nn::Sequential& mlp, const nn::Tensor& in, nn::Tensor& act) {
+         mlp.infer(in, act, ws);
+       });
 }
 
 double EdgeConvBaseline::train_step(const BatchedCloud& batch, const std::vector<int>& labels) {
-  const nn::Tensor logits = forward_internal(batch, /*training=*/true);
+  batch_ = batch.batch;
+  num_points_ = batch.num_points;
+  nn::Tensor logits;
+  pass(batch, logits, train_ws_, &edge_argmax_, &global_argmax_,
+       [](nn::Sequential& mlp, const nn::Tensor& in, nn::Tensor& act) {
+         act = mlp.forward(in, /*training=*/true);
+       });
   const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
   backward_internal(loss.grad);
   return loss.loss;

@@ -31,13 +31,21 @@ class EdgeConvBaseline : public PointCloudClassifier {
  public:
   EdgeConvBaseline(EdgeConvConfig config, Rng& rng);
 
-  nn::Tensor infer(const BatchedCloud& batch) override;
+  void infer_into(const BatchedCloud& batch, nn::Tensor& out,
+                  nn::Workspace& ws) const override;
   double train_step(const BatchedCloud& batch, const std::vector<int>& labels) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "EdgeConv"; }
+  std::size_t num_classes() const override { return config_.num_classes; }
 
  private:
-  nn::Tensor forward_internal(const BatchedCloud& batch, bool training);
+  /// kNN → edge MLP → edge max pool → global MLP → sample max pool → head,
+  /// with `run_mlp(seq, in, out)` running each stack: the one pass behind
+  /// train_step() and infer_into(). The argmax tables are optional (training).
+  template <typename RunMlp>
+  void pass(const BatchedCloud& batch, nn::Tensor& logits, nn::Workspace& ws,
+            std::vector<std::size_t>* edge_argmax, std::vector<std::size_t>* global_argmax,
+            RunMlp&& run_mlp) const;
   void backward_internal(const nn::Tensor& dlogits);
 
   EdgeConvConfig config_;
@@ -46,11 +54,11 @@ class EdgeConvBaseline : public PointCloudClassifier {
   std::unique_ptr<nn::Sequential> head_;
 
   // Forward caches.
-  std::vector<std::size_t> neighbours_;      ///< (B*N*k) source rows
   std::vector<std::size_t> edge_argmax_;     ///< per (point,channel) edge row
   std::vector<std::size_t> global_argmax_;   ///< per (sample,channel) point row
   std::size_t batch_ = 0;
   std::size_t num_points_ = 0;
+  nn::Workspace train_ws_;  ///< train_step()'s temporaries
 };
 
 }  // namespace gp

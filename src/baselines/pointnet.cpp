@@ -7,21 +7,22 @@ PointNetBaseline::PointNetBaseline(PointNetConfig config, Rng& rng) : config_(st
   head_ = std::make_unique<nn::Sequential>();
   head_->emplace<nn::Linear>(encoder_->out_channels(), config_.head_hidden, rng, "pointnet.fc0");
   head_->emplace<nn::ReLU>();
-  head_->emplace<nn::Dropout>(config_.dropout, rng);
+  nn::Dropout& dropout = head_->emplace<nn::Dropout>(config_.dropout, rng);
   head_->emplace<nn::Linear>(config_.head_hidden, config_.num_classes, rng, "pointnet.fc1");
+  dropout.reseed(rng);  // masks continue the construction stream
 }
 
-nn::Tensor PointNetBaseline::forward_internal(const BatchedCloud& batch, bool training) {
-  const nn::Tensor global = encoder_->forward(batch, training);
-  return head_->forward(global, training);
-}
-
-nn::Tensor PointNetBaseline::infer(const BatchedCloud& batch) {
-  return forward_internal(batch, /*training=*/false);
+void PointNetBaseline::infer_into(const BatchedCloud& batch, nn::Tensor& out,
+                                  nn::Workspace& ws) const {
+  const nn::Workspace::Frame frame(ws);
+  nn::Tensor& global = ws.take<nn::Tensor>();
+  encoder_->infer(batch, global, ws);
+  head_->infer(global, out, ws);
 }
 
 double PointNetBaseline::train_step(const BatchedCloud& batch, const std::vector<int>& labels) {
-  const nn::Tensor logits = forward_internal(batch, /*training=*/true);
+  const nn::Tensor global = encoder_->forward(batch, /*training=*/true);
+  const nn::Tensor logits = head_->forward(global, /*training=*/true);
   const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
   const nn::Tensor dglobal = head_->backward(loss.grad);
   (void)encoder_->backward(dglobal);

@@ -25,14 +25,14 @@ class PointNetBaseline : public PointCloudClassifier {
  public:
   PointNetBaseline(PointNetConfig config, Rng& rng);
 
-  nn::Tensor infer(const BatchedCloud& batch) override;
+  void infer_into(const BatchedCloud& batch, nn::Tensor& out,
+                  nn::Workspace& ws) const override;
   double train_step(const BatchedCloud& batch, const std::vector<int>& labels) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "PointNet"; }
+  std::size_t num_classes() const override { return config_.num_classes; }
 
  private:
-  nn::Tensor forward_internal(const BatchedCloud& batch, bool training);
-
   PointNetConfig config_;
   std::unique_ptr<GroupAll> encoder_;  ///< shared MLP + max pool
   std::unique_ptr<nn::Sequential> head_;

@@ -20,8 +20,9 @@ ProfileNetBaseline::ProfileNetBaseline(ProfileNetConfig config, Rng& rng)
     net_->emplace<nn::ReLU>();
     prev = config_.hidden[i];
   }
-  net_->emplace<nn::Dropout>(config_.dropout, rng);
+  nn::Dropout& dropout = net_->emplace<nn::Dropout>(config_.dropout, rng);
   net_->emplace<nn::Linear>(prev, config_.num_classes, rng, "profile.out");
+  dropout.reseed(rng);  // masks continue the construction stream
 }
 
 nn::Tensor ProfileNetBaseline::extract_profiles(const BatchedCloud& batch) const {
@@ -64,8 +65,9 @@ nn::Tensor ProfileNetBaseline::extract_profiles(const BatchedCloud& batch) const
   return profiles;
 }
 
-nn::Tensor ProfileNetBaseline::infer(const BatchedCloud& batch) {
-  return net_->forward(extract_profiles(batch), /*training=*/false);
+void ProfileNetBaseline::infer_into(const BatchedCloud& batch, nn::Tensor& out,
+                                    nn::Workspace& ws) const {
+  net_->infer(extract_profiles(batch), out, ws);
 }
 
 double ProfileNetBaseline::train_step(const BatchedCloud& batch, const std::vector<int>& labels) {

@@ -32,10 +32,12 @@ class ProfileNetBaseline : public PointCloudClassifier {
  public:
   ProfileNetBaseline(ProfileNetConfig config, Rng& rng);
 
-  nn::Tensor infer(const BatchedCloud& batch) override;
+  void infer_into(const BatchedCloud& batch, nn::Tensor& out,
+                  nn::Workspace& ws) const override;
   double train_step(const BatchedCloud& batch, const std::vector<int>& labels) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "ProfileNet"; }
+  std::size_t num_classes() const override { return config_.num_classes; }
 
   /// Exposed for tests: the (B x T*6) profile matrix.
   nn::Tensor extract_profiles(const BatchedCloud& batch) const;

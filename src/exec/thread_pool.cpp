@@ -45,6 +45,10 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::work_on(Region& region) {
   RegionMark mark;
+  // Workers adopt the submitter's span depth, so spans inside the region
+  // nest under the span that submitted it instead of registering as
+  // top-level stages (the caller's depth is unchanged by this).
+  const obs::SpanDepthScope depth(region.span_depth);
   // One span per participant per region: in a Perfetto trace every worker
   // shows a "exec.work" block for the stretch it helped with; the metrics
   // side accumulates per-worker busy time (the thread-sharded counter means
@@ -59,7 +63,11 @@ void ThreadPool::work_on(Region& region) {
     try {
       (*region.fn)(c);
     } catch (...) {
-      region.errors[c] = std::current_exception();
+      const std::lock_guard<std::mutex> lock(region.error_mutex);
+      if (!region.error || c < region.error_chunk) {
+        region.error = std::current_exception();
+        region.error_chunk = c;
+      }
     }
     ++chunks_run;
     region.done.fetch_add(1, std::memory_order_acq_rel);
@@ -112,7 +120,7 @@ void ThreadPool::run(std::size_t num_chunks, const ChunkFn& fn) {
   Region region;
   region.fn = &fn;
   region.num_chunks = num_chunks;
-  region.errors.resize(num_chunks);
+  region.span_depth = obs::span_depth();
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -140,9 +148,7 @@ void ThreadPool::run(std::size_t num_chunks, const ChunkFn& fn) {
     region_ms.observe(static_cast<double>(monotonic_ns() - region_t0) * 1e-6);
   }
 
-  for (auto& error : region.errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  if (region.error) std::rethrow_exception(region.error);
 }
 
 }  // namespace gp::exec

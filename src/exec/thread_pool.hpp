@@ -57,7 +57,12 @@ class ThreadPool {
     std::size_t num_chunks = 0;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
-    std::vector<std::exception_ptr> errors;  ///< one slot per chunk
+    /// Lowest-indexed failing chunk and its exception (guarded by
+    /// error_mutex); fixed-size, so publishing a region allocates nothing.
+    std::mutex error_mutex;
+    std::size_t error_chunk = 0;
+    std::exception_ptr error;
+    int span_depth = 0;      ///< submitter's span depth; workers nest under it
     int active_workers = 0;  ///< workers currently inside (guarded by mutex_)
   };
 

@@ -19,14 +19,25 @@ AttentionFusion::AttentionFusion(std::size_t channels, Rng& rng, const std::stri
 }
 
 nn::Tensor AttentionFusion::forward(const nn::Tensor& resized, const nn::Tensor& native) {
-  check_arg(resized.rows() == native.rows() && resized.cols() == channels_ &&
-                native.cols() == channels_,
-            "fusion input shape mismatch");
   resized_ = resized;
   native_ = native;
   s_resized_.assign(resized.rows(), 0.0);
+  nn::Tensor out;
+  blend(resized, native, out, s_resized_.data());
+  return out;
+}
 
-  nn::Tensor out(resized.rows(), channels_);
+void AttentionFusion::infer(const nn::Tensor& resized, const nn::Tensor& native,
+                            nn::Tensor& out) const {
+  blend(resized, native, out, nullptr);
+}
+
+void AttentionFusion::blend(const nn::Tensor& resized, const nn::Tensor& native, nn::Tensor& out,
+                            double* s_resized) const {
+  check_arg(resized.rows() == native.rows() && resized.cols() == channels_ &&
+                native.cols() == channels_,
+            "fusion input shape mismatch");
+  out.resize(resized.rows(), channels_);
   const float* w = gate_weight_.value.row(0);
   const double bias = gate_bias_.value.at(0, 0);
   for (std::size_t i = 0; i < resized.rows(); ++i) {
@@ -40,14 +51,13 @@ nn::Tensor AttentionFusion::forward(const nn::Tensor& resized, const nn::Tensor&
     }
     // Two-way softmax, computed stably.
     const double s1 = 1.0 / (1.0 + std::exp(a2 - a1));
-    s_resized_[i] = s1;
+    if (s_resized != nullptr) s_resized[i] = s1;
     const double s2 = 1.0 - s1;
     float* o = out.row(i);
     for (std::size_t c = 0; c < channels_; ++c) {
       o[c] = static_cast<float>(s1 * r[c] + s2 * n[c]);
     }
   }
-  return out;
 }
 
 AttentionFusion::Grads AttentionFusion::backward(const nn::Tensor& grad_output) {

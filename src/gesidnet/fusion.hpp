@@ -21,6 +21,8 @@ class AttentionFusion {
 
   /// resized: F^{l->k} (B x C); native: F^k (B x C). Returns Y^k (B x C).
   nn::Tensor forward(const nn::Tensor& resized, const nn::Tensor& native);
+  /// Inference-mode forward into `out`: the same blend, no caches.
+  void infer(const nn::Tensor& resized, const nn::Tensor& native, nn::Tensor& out) const;
 
   struct Grads {
     nn::Tensor resized;  ///< dL/dF^{l->k}
@@ -34,6 +36,11 @@ class AttentionFusion {
   double mean_resized_weight() const;
 
  private:
+  /// Y = s1·resized + (1 − s1)·native per row, s1 = softmax gate; stores s1
+  /// per row into `s_resized` when non-null. Behind forward() and infer().
+  void blend(const nn::Tensor& resized, const nn::Tensor& native, nn::Tensor& out,
+             double* s_resized) const;
+
   std::size_t channels_;
   nn::Parameter gate_weight_;  ///< (1 x C): g(F) = w . F + b
   nn::Parameter gate_bias_;    ///< (1 x 1)

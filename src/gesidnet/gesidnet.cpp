@@ -37,44 +37,48 @@ GesIDNet::GesIDNet(GesIDNetConfig config, Rng& rng) : config_(std::move(config))
   head1_ = std::make_unique<nn::Sequential>();
   head1_->emplace<nn::Linear>(c1, config_.head1_hidden, rng, "head1.fc0");
   head1_->emplace<nn::ReLU>();
-  head1_->emplace<nn::Dropout>(config_.dropout, rng);
+  nn::Dropout& dropout = head1_->emplace<nn::Dropout>(config_.dropout, rng);
   head1_->emplace<nn::Linear>(config_.head1_hidden, config_.num_classes, rng, "head1.fc1");
 
   head2_ = std::make_unique<nn::Sequential>();
   head2_->emplace<nn::Linear>(c2, config_.head2_hidden, rng, "head2.fc0");
   head2_->emplace<nn::ReLU>();
   head2_->emplace<nn::Linear>(config_.head2_hidden, config_.num_classes, rng, "head2.fc1");
+  dropout.reseed(rng);  // masks continue the construction stream
 }
 
 GesIDNet::ForwardOut GesIDNet::forward_internal(const BatchedCloud& batch, bool training) {
   GP_SPAN("gesidnet.fwd");
-  {
-    GP_SPAN("gesidnet.sa.fwd");
-    sa1_out_ = sa1_->forward(batch, training);
-  }
+  BatchedCloud sa1_out;
   BatchedCloud sa2_out;
   {
     GP_SPAN("gesidnet.sa.fwd");
-    sa2_out = sa2_->forward(sa1_out_, training);
+    sa1_out = sa1_->forward(batch, training);
+  }
+  {
+    GP_SPAN("gesidnet.sa.fwd");
+    sa2_out = sa2_->forward(sa1_out, training);
   }
 
+  nn::Tensor f1;
+  nn::Tensor f2;
   {
     GP_SPAN("gesidnet.level.fwd");
-    f1_ = level1_->forward(sa1_out_, training);
-    f2_ = level2_->forward(sa2_out, training);
+    f1 = level1_->forward(sa1_out, training);
+    f2 = level2_->forward(sa2_out, training);
   }
 
   nn::Tensor y1;
   nn::Tensor y2;
   if (config_.enable_fusion) {
     GP_SPAN("gesidnet.fusion.fwd");
-    const nn::Tensor r21 = resize_2to1_->forward(f2_, training);
-    const nn::Tensor r12 = resize_1to2_->forward(f1_, training);
-    y1 = fusion1_->forward(r21, f1_);
-    y2 = fusion2_->forward(r12, f2_);
+    const nn::Tensor r21 = resize_2to1_->forward(f2, training);
+    const nn::Tensor r12 = resize_1to2_->forward(f1, training);
+    y1 = fusion1_->forward(r21, f1);
+    y2 = fusion2_->forward(r12, f2);
   } else {
-    y1 = f1_;
-    y2 = f2_;
+    y1 = std::move(f1);
+    y2 = std::move(f2);
   }
 
   ForwardOut out;
@@ -84,6 +88,49 @@ GesIDNet::ForwardOut GesIDNet::forward_internal(const BatchedCloud& batch, bool 
     out.logits2 = head2_->forward(y2, training);
   }
   return out;
+}
+
+void GesIDNet::infer_trunk(const BatchedCloud& batch, Features& out, nn::Workspace& ws) const {
+  const nn::Workspace::Frame frame(ws);
+  BatchedCloud& sa1_out = ws.take<BatchedCloud>();
+  BatchedCloud& sa2_out = ws.take<BatchedCloud>();
+  {
+    GP_SPAN("gesidnet.sa.fwd");
+    sa1_->infer(batch, sa1_out, ws);
+  }
+  {
+    GP_SPAN("gesidnet.sa.fwd");
+    sa2_->infer(sa1_out, sa2_out, ws);
+  }
+  {
+    GP_SPAN("gesidnet.level.fwd");
+    level1_->infer(sa1_out, out.low, ws);
+    level2_->infer(sa2_out, out.high, ws);
+  }
+  if (config_.enable_fusion) {
+    GP_SPAN("gesidnet.fusion.fwd");
+    nn::Tensor& r21 = ws.take<nn::Tensor>();
+    nn::Tensor& r12 = ws.take<nn::Tensor>();
+    resize_2to1_->infer(out.high, r21, ws);
+    resize_1to2_->infer(out.low, r12, ws);
+    fusion1_->infer(r21, out.low, out.fused_low);
+    fusion2_->infer(r12, out.high, out.fused_high);
+  } else {
+    out.fused_low = out.low;
+    out.fused_high = out.high;
+  }
+}
+
+void GesIDNet::infer_into(const BatchedCloud& batch, nn::Tensor& logits,
+                          nn::Workspace& ws) const {
+  GP_SPAN("gesidnet.infer");
+  GP_COUNTER_ADD("gp.gesidnet.infer_batches", 1);
+  GP_COUNTER_ADD("gp.gesidnet.infer_samples", batch.batch);
+  const nn::Workspace::Frame frame(ws);
+  Features& features = ws.take<Features>();
+  infer_trunk(batch, features, ws);
+  GP_SPAN("gesidnet.head.fwd");
+  head1_->infer(features.fused_low, logits, ws);
 }
 
 void GesIDNet::backward_internal(const nn::Tensor& dlogits1, const nn::Tensor& dlogits2) {
@@ -122,11 +169,8 @@ void GesIDNet::backward_internal(const nn::Tensor& dlogits1, const nn::Tensor& d
   (void)sa1_->backward(d_sa1_features);  // input grads unused (leaf data)
 }
 
-nn::Tensor GesIDNet::infer(const BatchedCloud& batch) {
-  GP_SPAN("gesidnet.infer");
-  GP_COUNTER_ADD("gp.gesidnet.infer_batches", 1);
-  GP_COUNTER_ADD("gp.gesidnet.infer_samples", batch.batch);
-  return forward_internal(batch, /*training=*/false).logits1;
+nn::Tensor GesIDNet::forward(const BatchedCloud& batch, bool training) {
+  return forward_internal(batch, training).logits1;
 }
 
 double GesIDNet::train_step(const BatchedCloud& batch, const std::vector<int>& labels) {
@@ -145,22 +189,11 @@ double GesIDNet::train_step_head_only(const BatchedCloud& batch, const std::vect
   // Trunk in inference mode: set-abstraction/level batch-norms neither
   // normalise by batch statistics nor update their running stats, so a
   // fine-tuned model's trunk forward is bit-identical to the base model's.
-  sa1_out_ = sa1_->forward(batch, /*training=*/false);
-  const BatchedCloud sa2_out = sa2_->forward(sa1_out_, /*training=*/false);
-  f1_ = level1_->forward(sa1_out_, /*training=*/false);
-  f2_ = level2_->forward(sa2_out, /*training=*/false);
-
-  nn::Tensor y1;
-  nn::Tensor y2;
-  if (config_.enable_fusion) {
-    const nn::Tensor r21 = resize_2to1_->forward(f2_, /*training=*/false);
-    const nn::Tensor r12 = resize_1to2_->forward(f1_, /*training=*/false);
-    y1 = fusion1_->forward(r21, f1_);
-    y2 = fusion2_->forward(r12, f2_);
-  } else {
-    y1 = f1_;
-    y2 = f2_;
-  }
+  const nn::Workspace::Frame frame(train_ws_);
+  Features& trunk = train_ws_.take<Features>();
+  infer_trunk(batch, trunk, train_ws_);
+  const nn::Tensor& y1 = trunk.fused_low;
+  const nn::Tensor& y2 = trunk.fused_high;
 
   // Only the heads train: dropout stays active where learning happens.
   const nn::Tensor logits1 = head1_->forward(y1, /*training=*/true);
@@ -189,12 +222,10 @@ std::unique_ptr<GesIDNet> GesIDNet::widen_head(std::size_t new_classes, std::uin
 
   GesIDNetConfig config = config_;
   config.num_classes = new_classes;
-  // Same ownership pattern as clone(): the widened model carries its own Rng
-  // so its Dropout layers have a live stream when it is trained later. The
-  // seed also determines the fresh init of the added class rows.
-  auto rng = std::make_unique<Rng>(seed, 0xA02BDBF7BB3C0A7EULL);
-  auto copy = std::make_unique<GesIDNet>(std::move(config), *rng);
-  copy->owned_rng_ = std::move(rng);
+  // The seed determines the fresh init of the added class rows (and the
+  // widened model's dropout stream).
+  Rng rng(seed, 0xA02BDBF7BB3C0A7EULL);
+  auto copy = std::make_unique<GesIDNet>(std::move(config), rng);
 
   const auto src_params = parameters();
   const auto dst_params = copy->parameters();
@@ -280,15 +311,13 @@ std::vector<nn::QuantLinearTables> GesIDNet::collect_quant_tables() {
 
 std::unique_ptr<PointCloudClassifier> GesIDNet::clone() {
   // A fused model no longer exposes its training parameters, so a deep copy
-  // cannot be reconstructed; predict_logits falls back to its serial path.
+  // cannot be reconstructed.
   if (fused_) return nullptr;
   // Fresh instance with the same architecture; the init draws are thrown
-  // away immediately when the source weights are copied over. The clone
-  // carries its own Rng so its Dropout layers never share a stream with the
-  // original (only relevant if a caller trains the clone).
-  auto rng = std::make_unique<Rng>(0xC10E5EEDBEEFCAFEULL, 0xA02BDBF7BB3C0A7EULL);
-  auto copy = std::make_unique<GesIDNet>(config_, *rng);
-  copy->owned_rng_ = std::move(rng);
+  // away immediately when the source weights are copied over. The clone's
+  // dropout stream comes from this fixed seed, never the original's.
+  Rng rng(0xC10E5EEDBEEFCAFEULL, 0xA02BDBF7BB3C0A7EULL);
+  auto copy = std::make_unique<GesIDNet>(config_, rng);
 
   const auto copy_state = [](std::vector<nn::Parameter*> src, std::vector<nn::Parameter*> dst) {
     check(src.size() == dst.size(), "clone parameter list mismatch");
@@ -335,21 +364,10 @@ std::vector<nn::Parameter*> GesIDNet::buffers() {
   return out;
 }
 
-GesIDNet::Features GesIDNet::extract_features(const BatchedCloud& batch) {
+GesIDNet::Features GesIDNet::extract_features(const BatchedCloud& batch) const {
   Features features;
-  const BatchedCloud sa1_out = sa1_->forward(batch, /*training=*/false);
-  const BatchedCloud sa2_out = sa2_->forward(sa1_out, /*training=*/false);
-  features.low = level1_->forward(sa1_out, /*training=*/false);
-  features.high = level2_->forward(sa2_out, /*training=*/false);
-  if (config_.enable_fusion) {
-    const nn::Tensor r21 = resize_2to1_->forward(features.high, /*training=*/false);
-    const nn::Tensor r12 = resize_1to2_->forward(features.low, /*training=*/false);
-    features.fused_low = fusion1_->forward(r21, features.low);
-    features.fused_high = fusion2_->forward(r12, features.high);
-  } else {
-    features.fused_low = features.low;
-    features.fused_high = features.high;
-  }
+  nn::Workspace ws;
+  infer_trunk(batch, features, ws);
   return features;
 }
 

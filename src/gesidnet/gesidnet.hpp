@@ -36,13 +36,20 @@ class GesIDNet : public PointCloudClassifier {
  public:
   GesIDNet(GesIDNetConfig config, Rng& rng);
 
-  nn::Tensor infer(const BatchedCloud& batch) override;
+  /// Trunk → fusion → primary head on const weights (model_api.hpp). The
+  /// auxiliary head does not run: only training reads its logits.
+  void infer_into(const BatchedCloud& batch, nn::Tensor& logits,
+                  nn::Workspace& ws) const override;
+  /// The layered training forward's primary logits. With training == false
+  /// it runs in inference mode (still writing the backward caches):
+  /// infer_into() matches it bitwise.
+  nn::Tensor forward(const BatchedCloud& batch, bool training);
   double train_step(const BatchedCloud& batch, const std::vector<int>& labels) override;
   std::vector<nn::Parameter*> parameters() override;
   std::vector<nn::Parameter*> buffers() override;
   std::string name() const override { return "GesIDNet"; }
-  /// Deep copy (weights + batch-norm statistics); enables the parallel
-  /// inference path in predict_logits.
+  std::size_t num_classes() const override { return config_.num_classes; }
+  /// Deep copy (weights + batch-norm statistics) for training replicas.
   std::unique_ptr<PointCloudClassifier> clone() override;
 
   /// Just the dual-head parameters — the subset a head-only fine-tune
@@ -54,8 +61,7 @@ class GesIDNet : public PointCloudClassifier {
   double train_step_head_only(const BatchedCloud& batch, const std::vector<int>& labels) override;
   /// Architecture-preserving head widening: returns a fresh model with
   /// `new_classes` outputs whose trunk and existing class rows are copied
-  /// from this one; the added class rows keep their seed-derived init. The
-  /// copy owns its Rng (clone() pattern), so it can be trained later.
+  /// from this one; the added class rows keep their seed-derived init.
   std::unique_ptr<GesIDNet> widen_head(std::size_t new_classes, std::uint64_t seed);
 
   /// Intermediate representations for the t-SNE study (Fig. 6).
@@ -65,20 +71,14 @@ class GesIDNet : public PointCloudClassifier {
     nn::Tensor fused_low;   ///< Y^l1
     nn::Tensor fused_high;  ///< Y^l2
   };
-  Features extract_features(const BatchedCloud& batch);
-
-  /// Mean attention weight the level-1 fusion puts on the resized
-  /// high-level feature (diagnostic for the fusion study).
-  double fusion_low_weight() const {
-    return fusion1_ != nullptr ? fusion1_->mean_resized_weight() : 0.0;
-  }
+  Features extract_features(const BatchedCloud& batch) const;
 
   const GesIDNetConfig& config() const { return config_; }
 
   /// Irreversibly rewrites every MLP stack into its fused inference form
   /// (nn/fused.hpp): batch-norms folded into the linears, ReLU epilogues,
   /// dropout removed, weights transposed for the outer-product kernel.
-  /// Afterwards the model is forward-only — train_step() throws, clone()
+  /// Afterwards the model is inference-only — train_step() throws, clone()
   /// returns nullptr, and parameters()/buffers() must not be serialized.
   /// gp::serve calls this on its private ModelSnapshot copies (the 2×
   /// serving-throughput win, DESIGN.md §8); never fuse a model you still
@@ -103,6 +103,11 @@ class GesIDNet : public PointCloudClassifier {
   }
 
  private:
+  /// The inference trunk: set abstraction, level features and fusion into
+  /// `out` (fused_low/fused_high are the two head inputs). Shared by
+  /// infer_into(), extract_features() and the head-only fine-tune.
+  void infer_trunk(const BatchedCloud& batch, Features& out, nn::Workspace& ws) const;
+
   struct ForwardOut {
     nn::Tensor logits1;
     nn::Tensor logits2;
@@ -115,9 +120,6 @@ class GesIDNet : public PointCloudClassifier {
   nn::QuantMode quant_ = nn::QuantMode::kOff;  ///< mode the fuse ran with
   /// Tables stashed by deserialization, consumed at fuse time.
   std::vector<nn::QuantLinearTables> pending_quant_;
-  /// Clones own their Rng (the primary model borrows the caller's); declared
-  /// before the layers so it outlives the Dropout that points into it.
-  std::unique_ptr<Rng> owned_rng_;
   std::unique_ptr<SetAbstraction> sa1_;
   std::unique_ptr<SetAbstraction> sa2_;
   std::unique_ptr<GroupAll> level1_;
@@ -128,11 +130,7 @@ class GesIDNet : public PointCloudClassifier {
   std::unique_ptr<AttentionFusion> fusion2_;
   std::unique_ptr<nn::Sequential> head1_;
   std::unique_ptr<nn::Sequential> head2_;
-
-  // Forward caches (shapes needed by backward_internal).
-  nn::Tensor f1_;
-  nn::Tensor f2_;
-  BatchedCloud sa1_out_;
+  nn::Workspace train_ws_;  ///< train_step_head_only's frozen-trunk temporaries
 };
 
 }  // namespace gp

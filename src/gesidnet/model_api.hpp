@@ -15,14 +15,28 @@ class PointCloudClassifier {
  public:
   virtual ~PointCloudClassifier() = default;
 
-  /// Inference-mode logits, one row per sample.
-  virtual nn::Tensor infer(const BatchedCloud& batch) = 0;
+  /// Inference-mode logits, one row per sample, into `out`. Reentrant: it
+  /// reads only const weights and takes every temporary from `ws`, so lanes
+  /// with distinct workspaces may share one model. Each output row depends
+  /// only on its own sample (bitwise, whatever the batch composition).
+  virtual void infer_into(const BatchedCloud& batch, nn::Tensor& out,
+                          nn::Workspace& ws) const = 0;
+
+  /// infer_into() with a throwaway workspace.
+  nn::Tensor infer(const BatchedCloud& batch) const {
+    nn::Tensor out;
+    nn::Workspace ws;
+    infer_into(batch, out, ws);
+    return out;
+  }
 
   /// One training forward/backward pass; gradients accumulate into
   /// parameters() (the optimiser consumes them). Returns the batch loss.
   virtual double train_step(const BatchedCloud& batch, const std::vector<int>& labels) = 0;
 
   virtual std::vector<nn::Parameter*> parameters() = 0;
+  /// Logit columns infer_into() produces.
+  virtual std::size_t num_classes() const = 0;
   /// Non-learned persistent state (batch-norm running stats); default none.
   virtual std::vector<nn::Parameter*> buffers() { return {}; }
   virtual std::string name() const = 0;
@@ -36,10 +50,10 @@ class PointCloudClassifier {
     return train_step(batch, labels);
   }
 
-  /// Deep copy with identical weights and buffers, used to build per-thread
-  /// inference replicas (layers cache activations, so one instance cannot
-  /// serve two threads). Models that do not support replication return
-  /// nullptr and the execution layer falls back to serial inference.
+  /// Deep copy with identical weights and buffers — a trainable replica
+  /// (the training forward caches activations, so one instance cannot train
+  /// on two threads). Inference needs no copy: infer_into() is reentrant.
+  /// Models that do not support replication return nullptr.
   virtual std::unique_ptr<PointCloudClassifier> clone() { return nullptr; }
 };
 

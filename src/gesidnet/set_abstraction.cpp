@@ -10,18 +10,18 @@ namespace gp {
 
 namespace {
 
-// Farthest point sampling over raw position rows [start_row, start_row+n).
-// Deterministic (seeded at row 0) so inference is repeatable.
-std::vector<std::size_t> fps_rows(const nn::Tensor& positions, std::size_t start_row,
-                                  std::size_t n, std::size_t count) {
-  std::vector<std::size_t> selected;
+// Farthest point sampling over raw position rows [start_row, start_row+n)
+// into `selected`. Deterministic (seeded at row 0) so inference is
+// repeatable; `min_dist2` is the caller's reused distance row.
+void fps_rows(const nn::Tensor& positions, std::size_t start_row, std::size_t n,
+              std::size_t count, std::vector<std::size_t>& selected,
+              std::vector<double>& min_dist2) {
+  selected.clear();
   if (count >= n) {
-    selected.resize(n);
-    for (std::size_t i = 0; i < n; ++i) selected[i] = start_row + i;
-    return selected;
+    for (std::size_t i = 0; i < n; ++i) selected.push_back(start_row + i);
+    return;
   }
-  selected.reserve(count);
-  std::vector<double> min_dist2(n, std::numeric_limits<double>::infinity());
+  min_dist2.assign(n, std::numeric_limits<double>::infinity());
   std::size_t current = 0;
   const auto dist2 = [&](std::size_t a, std::size_t b) {
     const float* pa = positions.row(start_row + a);
@@ -45,7 +45,6 @@ std::vector<std::size_t> fps_rows(const nn::Tensor& positions, std::size_t start
     }
     current = far;
   }
-  return selected;
 }
 
 }  // namespace
@@ -67,46 +66,53 @@ SetAbstraction::SetAbstraction(std::size_t num_centroids, std::size_t in_channel
   caches_.resize(scales_.size());
 }
 
-BatchedCloud SetAbstraction::forward(const BatchedCloud& in, bool training) {
+template <typename RunMlp>
+void SetAbstraction::abstract(const BatchedCloud& in, BatchedCloud& out, nn::Workspace& ws,
+                              ScaleCache* caches, RunMlp&& run_mlp) const {
   check_arg(in.channels() == in_channels_, "set abstraction channel mismatch");
   check_arg(in.num_points > 0 && in.batch > 0, "empty batch");
-  batch_ = in.batch;
-  in_rows_ = in.batch * in.num_points;
+  const nn::Workspace::Frame frame(ws);
 
-  BatchedCloud out;
   out.batch = in.batch;
   out.num_points = num_centroids_;
-  out.positions = nn::Tensor(in.batch * num_centroids_, 3);
-  out.features = nn::Tensor(in.batch * num_centroids_, out_channels_);
+  out.positions.resize(in.batch * num_centroids_, 3);
+  out.features.resize(in.batch * num_centroids_, out_channels_);
 
   // Centroids: FPS per sample, shared across scales.
-  std::vector<std::size_t> centroid_rows;
-  centroid_rows.reserve(in.batch * num_centroids_);
+  const std::size_t groups = in.batch * num_centroids_;
+  std::vector<std::size_t>& centroid_rows = ws.take<std::vector<std::size_t>>();
+  std::vector<std::size_t>& selected = ws.take<std::vector<std::size_t>>();
+  std::vector<double>& min_dist2 = ws.take<std::vector<double>>();
+  centroid_rows.resize(groups);
   for (std::size_t b = 0; b < in.batch; ++b) {
-    const auto selected =
-        fps_rows(in.positions, b * in.num_points, in.num_points, num_centroids_);
+    fps_rows(in.positions, b * in.num_points, in.num_points, num_centroids_, selected, min_dist2);
     for (std::size_t k = 0; k < num_centroids_; ++k) {
       // If the cloud has fewer points than centroids, repeat cyclically.
       const std::size_t row = selected[k % selected.size()];
-      centroid_rows.push_back(row);
       const std::size_t out_row = b * num_centroids_ + k;
+      centroid_rows[out_row] = row;
       for (std::size_t c = 0; c < 3; ++c) {
         out.positions.at(out_row, c) = in.positions.at(row, c);
       }
     }
   }
 
+  auto& hits = ws.take<std::vector<std::pair<double, std::size_t>>>();
+  nn::Tensor& rows = ws.take<nn::Tensor>();
+  nn::Tensor& activated = ws.take<nn::Tensor>();
   std::size_t channel_offset = 0;
   for (std::size_t s = 0; s < scales_.size(); ++s) {
     const ScaleSpec& scale = scales_[s];
-    ScaleCache& cache = caches_[s];
     const std::size_t m = scale.group_size;
-    const std::size_t groups = in.batch * num_centroids_;
-    cache.rows = groups * m;
-    cache.member.assign(cache.rows, 0);
+    std::size_t* member = nullptr;
+    if (caches != nullptr) {
+      caches[s].rows = groups * m;
+      caches[s].member.resize(groups * m);
+      member = caches[s].member.data();
+    }
 
     // Build grouped rows: [local_xyz | features].
-    nn::Tensor rows(cache.rows, 3 + in_channels_);
+    rows.resize(groups * m, 3 + in_channels_);
     const double r2 = scale.radius * scale.radius;
     for (std::size_t g = 0; g < groups; ++g) {
       const std::size_t b = g / num_centroids_;
@@ -114,7 +120,7 @@ BatchedCloud SetAbstraction::forward(const BatchedCloud& in, bool training) {
       const float* cp = in.positions.row(centroid_row);
 
       // Ball query within this sample (nearest-first up to m).
-      std::vector<std::pair<double, std::size_t>> hits;
+      hits.clear();
       const std::size_t base = b * in.num_points;
       for (std::size_t i = 0; i < in.num_points; ++i) {
         const float* pp = in.positions.row(base + i);
@@ -130,7 +136,7 @@ BatchedCloud SetAbstraction::forward(const BatchedCloud& in, bool training) {
 
       for (std::size_t j = 0; j < m; ++j) {
         const std::size_t src = hits[j % hits.size()].second;  // cyclic padding
-        cache.member[g * m + j] = src;
+        if (member != nullptr) member[g * m + j] = src;
         float* dst = rows.row(g * m + j);
         const float* pp = in.positions.row(src);
         dst[0] = pp[0] - cp[0];
@@ -142,28 +148,34 @@ BatchedCloud SetAbstraction::forward(const BatchedCloud& in, bool training) {
     }
 
     // Shared MLP + per-group channel-wise max pool.
-    const nn::Tensor activated = mlps_[s]->forward(rows, training);
-    const std::size_t cs = scale_out_channels_[s];
-    cache.argmax.assign(groups * cs, 0);
-    for (std::size_t g = 0; g < groups; ++g) {
-      float* dst = out.features.row(g);
-      for (std::size_t c = 0; c < cs; ++c) {
-        std::size_t best_row = g * m;
-        float best = activated.at(best_row, c);
-        for (std::size_t j = 1; j < m; ++j) {
-          const float v = activated.at(g * m + j, c);
-          if (v > best) {
-            best = v;
-            best_row = g * m + j;
-          }
-        }
-        dst[channel_offset + c] = best;
-        cache.argmax[g * cs + c] = best_row;
-      }
+    run_mlp(s, rows, activated);
+    std::size_t* argmax = nullptr;
+    if (caches != nullptr) {
+      caches[s].argmax.resize(groups * scale_out_channels_[s]);
+      argmax = caches[s].argmax.data();
     }
-    channel_offset += cs;
+    nn::max_pool_rows(activated, groups, m, out.features, channel_offset, argmax);
+    channel_offset += scale_out_channels_[s];
   }
+}
+
+BatchedCloud SetAbstraction::forward(const BatchedCloud& in, bool training) {
+  batch_ = in.batch;
+  in_rows_ = in.batch * in.num_points;
+  BatchedCloud out;
+  abstract(in, out, train_ws_, caches_.data(),
+           [&](std::size_t s, const nn::Tensor& rows, nn::Tensor& activated) {
+             activated = mlps_[s]->forward(rows, training);
+           });
   return out;
+}
+
+void SetAbstraction::infer(const BatchedCloud& in, BatchedCloud& out,
+                           nn::Workspace& ws) const {
+  abstract(in, out, ws, nullptr,
+           [&](std::size_t s, const nn::Tensor& rows, nn::Tensor& activated) {
+             mlps_[s]->infer(rows, activated, ws);
+           });
 }
 
 nn::Tensor SetAbstraction::backward(const nn::Tensor& grad_out_features) {
@@ -225,12 +237,14 @@ GroupAll::GroupAll(std::size_t in_channels, std::vector<std::size_t> mlp, Rng& r
   out_channels_ = mlp.back();
 }
 
-nn::Tensor GroupAll::forward(const BatchedCloud& in, bool training) {
+template <typename RunMlp>
+void GroupAll::group_all(const BatchedCloud& in, nn::Tensor& out, nn::Workspace& ws,
+                         std::size_t* argmax, RunMlp&& run_mlp) const {
   check_arg(in.channels() == in_channels_, "GroupAll channel mismatch");
-  batch_ = in.batch;
-  num_points_ = in.num_points;
-
-  nn::Tensor rows(in.batch * in.num_points, 3 + in_channels_);
+  const nn::Workspace::Frame frame(ws);
+  nn::Tensor& rows = ws.take<nn::Tensor>();
+  nn::Tensor& activated = ws.take<nn::Tensor>();
+  rows.resize(in.batch * in.num_points, 3 + in_channels_);
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     float* dst = rows.row(r);
     const float* pp = in.positions.row(r);
@@ -241,26 +255,27 @@ nn::Tensor GroupAll::forward(const BatchedCloud& in, bool training) {
     for (std::size_t c = 0; c < in_channels_; ++c) dst[3 + c] = pf[c];
   }
 
-  const nn::Tensor activated = mlp_->forward(rows, training);
-  nn::Tensor out(batch_, out_channels_);
-  argmax_.assign(batch_ * out_channels_, 0);
-  for (std::size_t b = 0; b < batch_; ++b) {
-    float* dst = out.row(b);
-    for (std::size_t c = 0; c < out_channels_; ++c) {
-      std::size_t best_row = b * num_points_;
-      float best = activated.at(best_row, c);
-      for (std::size_t i = 1; i < num_points_; ++i) {
-        const float v = activated.at(b * num_points_ + i, c);
-        if (v > best) {
-          best = v;
-          best_row = b * num_points_ + i;
-        }
-      }
-      dst[c] = best;
-      argmax_[b * out_channels_ + c] = best_row;
-    }
-  }
+  run_mlp(rows, activated);
+  out.resize(in.batch, out_channels_);
+  nn::max_pool_rows(activated, in.batch, in.num_points, out, 0, argmax);
+}
+
+nn::Tensor GroupAll::forward(const BatchedCloud& in, bool training) {
+  batch_ = in.batch;
+  num_points_ = in.num_points;
+  argmax_.resize(in.batch * out_channels_);
+  nn::Tensor out;
+  group_all(in, out, train_ws_, argmax_.data(),
+            [&](const nn::Tensor& rows, nn::Tensor& activated) {
+              activated = mlp_->forward(rows, training);
+            });
   return out;
+}
+
+void GroupAll::infer(const BatchedCloud& in, nn::Tensor& out, nn::Workspace& ws) const {
+  group_all(in, out, ws, nullptr, [&](const nn::Tensor& rows, nn::Tensor& activated) {
+    mlp_->infer(rows, activated, ws);
+  });
 }
 
 nn::Tensor GroupAll::backward(const nn::Tensor& grad_output) {

@@ -9,6 +9,11 @@
 // Backward is exact: max-pool routes gradients to argmax rows, the MLP
 // backpropagates them, and the feature part scatter-adds into the input
 // cloud's feature gradient (positions are leaf inputs and need no grad).
+//
+// forward() (training) and infer() (const, reentrant; nn/layers.hpp) run
+// the same grouping and pooling code; forward() only adds the member and
+// argmax caches backward() reads. FPS, ball query and pooling never look
+// outside one sample, so each output row depends only on its own sample.
 #pragma once
 
 #include <memory>
@@ -34,6 +39,8 @@ class SetAbstraction {
 
   /// in: (B*N) rows; out: (B*num_centroids) rows with concatenated scales.
   BatchedCloud forward(const BatchedCloud& in, bool training);
+  /// Inference-mode forward into `out`; temporaries from `ws`.
+  void infer(const BatchedCloud& in, BatchedCloud& out, nn::Workspace& ws) const;
 
   /// grad wrt out.features -> grad wrt in.features (same shape as input).
   nn::Tensor backward(const nn::Tensor& grad_out_features);
@@ -56,6 +63,20 @@ class SetAbstraction {
   }
 
  private:
+  // Forward caches (per scale).
+  struct ScaleCache {
+    std::vector<std::size_t> member;   ///< (B*n*m) input row index per slot
+    std::vector<std::size_t> argmax;   ///< (B*n*C_scale) winning slot row
+    std::size_t rows = 0;
+  };
+
+  /// FPS → per-scale ball query + grouping → `run_mlp(s, rows, activated)`
+  /// → max pool: the one pass behind forward() and infer(). `caches`
+  /// (training only, one per scale) receives member and argmax tables.
+  template <typename RunMlp>
+  void abstract(const BatchedCloud& in, BatchedCloud& out, nn::Workspace& ws,
+                ScaleCache* caches, RunMlp&& run_mlp) const;
+
   std::size_t num_centroids_;
   std::size_t in_channels_;
   std::vector<ScaleSpec> scales_;
@@ -63,15 +84,10 @@ class SetAbstraction {
   std::vector<std::size_t> scale_out_channels_;
   std::size_t out_channels_ = 0;
 
-  // Forward caches (per scale).
-  struct ScaleCache {
-    std::vector<std::size_t> member;   ///< (B*n*m) input row index per slot
-    std::vector<std::size_t> argmax;   ///< (B*n*C_scale) winning slot row
-    std::size_t rows = 0;
-  };
   std::vector<ScaleCache> caches_;
   std::size_t in_rows_ = 0;
   std::size_t batch_ = 0;
+  nn::Workspace train_ws_;  ///< forward()'s grouping temporaries
 };
 
 /// Global "group all" stage: per sample, concatenates [xyz, features] of
@@ -84,6 +100,8 @@ class GroupAll {
 
   /// in: (B*N x C) -> out: (B x C_out).
   nn::Tensor forward(const BatchedCloud& in, bool training);
+  /// Inference-mode forward into `out`; temporaries from `ws`.
+  void infer(const BatchedCloud& in, nn::Tensor& out, nn::Workspace& ws) const;
   /// grad (B x C_out) -> grad wrt in.features (B*N x C).
   nn::Tensor backward(const nn::Tensor& grad_output);
 
@@ -104,12 +122,19 @@ class GroupAll {
   }
 
  private:
+  /// [xyz | features] rows → `run_mlp(rows, activated)` → per-sample max
+  /// pool: the one pass behind forward() and infer().
+  template <typename RunMlp>
+  void group_all(const BatchedCloud& in, nn::Tensor& out, nn::Workspace& ws,
+                 std::size_t* argmax, RunMlp&& run_mlp) const;
+
   std::size_t in_channels_;
   std::unique_ptr<nn::Sequential> mlp_;
   std::size_t out_channels_ = 0;
   std::vector<std::size_t> argmax_;
   std::size_t batch_ = 0;
   std::size_t num_points_ = 0;
+  nn::Workspace train_ws_;  ///< forward()'s row temporaries
 };
 
 }  // namespace gp

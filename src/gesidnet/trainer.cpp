@@ -92,93 +92,57 @@ TrainStats train_classifier(PointCloudClassifier& model, const LabeledSamples& d
   return stats;
 }
 
-namespace {
-
-/// Runs batch `batch_index` through `model` and writes its logit rows into
-/// the matching rows of `all`. `scratch` is the lane-local batch buffer.
-void infer_batch_into(PointCloudClassifier& model, std::span<const FeaturizedSample> samples,
-                      std::size_t batch_size, std::size_t batch_index, BatchedCloud& scratch,
-                      nn::Tensor& all) {
-  const std::size_t begin = batch_index * batch_size;
-  const std::size_t count = std::min(batch_size, samples.size() - begin);
-  make_batch(samples, begin, count, scratch);
-  const nn::Tensor logits = model.infer(scratch);
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t c = 0; c < logits.cols(); ++c) {
-      all.at(begin + i, c) = logits.at(i, c);
-    }
-  }
-}
-
-}  // namespace
-
-nn::Tensor predict_logits(PointCloudClassifier& model,
+nn::Tensor predict_logits(const PointCloudClassifier& model,
                           const std::vector<FeaturizedSample>& samples,
                           std::size_t batch_size, exec::ExecContext& ctx) {
   return predict_logits(model, std::span<const FeaturizedSample>(samples), batch_size, ctx);
 }
 
-nn::Tensor predict_logits(PointCloudClassifier& model, std::span<const FeaturizedSample> samples,
-                          std::size_t batch_size, exec::ExecContext& ctx) {
+nn::Tensor predict_logits(const PointCloudClassifier& model,
+                          std::span<const FeaturizedSample> samples, std::size_t batch_size,
+                          exec::ExecContext& ctx) {
   nn::Tensor all;
   predict_logits_into(model, samples, all, batch_size, ctx);
   return all;
 }
 
-void predict_logits_into(PointCloudClassifier& model, std::span<const FeaturizedSample> samples,
-                         nn::Tensor& all, std::size_t batch_size, exec::ExecContext& ctx) {
+void predict_logits_into(const PointCloudClassifier& model,
+                         std::span<const FeaturizedSample> samples, nn::Tensor& all,
+                         std::size_t batch_size, exec::ExecContext& ctx) {
+  std::vector<InferLane> lanes;
+  predict_logits_into(model, samples, all, lanes, ctx, batch_size);
+}
+
+void predict_logits_into(const PointCloudClassifier& model,
+                         std::span<const FeaturizedSample> samples, nn::Tensor& all,
+                         std::vector<InferLane>& lanes, exec::ExecContext& ctx,
+                         std::size_t batch_size) {
   GP_SPAN("gesidnet.predict");
   check_arg(!samples.empty(), "predict over empty sample list");
   check_arg(batch_size > 0, "predict batch size must be > 0");
-  const std::size_t num_batches = (samples.size() + batch_size - 1) / batch_size;
+  const std::size_t n = samples.size();
+  const std::size_t num_lanes = std::min(ctx.threads(), n);
+  if (lanes.size() < num_lanes) lanes.resize(num_lanes);
+  all.resize(n, model.num_classes());
 
-  // Batch 0 runs on the primary model to discover the class count.
-  BatchedCloud scratch;
-  {
-    const std::size_t count = std::min(batch_size, samples.size());
-    make_batch(samples, 0, count, scratch);
-    const nn::Tensor logits = model.infer(scratch);
-    all.resize(samples.size(), logits.cols());
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t c = 0; c < logits.cols(); ++c) all.at(i, c) = logits.at(i, c);
+  // Lane l owns the contiguous samples [n·l/L, n·(l+1)/L) and writes only
+  // their rows of `all`; the model is shared read-only.
+  const auto run_lane = [&](std::size_t l) {
+    const exec::SerialScope serial;
+    InferLane& lane = lanes[l];
+    const std::size_t end = n * (l + 1) / num_lanes;
+    for (std::size_t begin = n * l / num_lanes; begin < end; begin += batch_size) {
+      const std::size_t count = std::min(batch_size, end - begin);
+      make_batch(samples, begin, count, lane.batch);
+      model.infer_into(lane.batch, lane.logits, lane.ws);
+      check(lane.logits.rows() == count && lane.logits.cols() == all.cols(),
+            "infer_into produced a logit block of the wrong shape");
+      std::copy(lane.logits.vec().begin(), lane.logits.vec().end(), all.row(begin));
     }
-  }
-  if (num_batches == 1) return;
-
-  // Layers cache activations for backward, so a model instance is not
-  // reentrant: concurrent lanes need replicas. Lane 0 reuses the primary;
-  // batch slicing is identical for every lane count, so the result matches
-  // the serial path bitwise.
-  const std::size_t lanes = std::min(ctx.threads(), num_batches - 1);
-  if (lanes > 1) {
-    std::vector<std::unique_ptr<PointCloudClassifier>> replicas;
-    replicas.reserve(lanes - 1);
-    bool cloneable = true;
-    for (std::size_t r = 0; r + 1 < lanes; ++r) {
-      auto replica = model.clone();
-      if (!replica) {
-        cloneable = false;
-        break;
-      }
-      replicas.push_back(std::move(replica));
-    }
-    if (cloneable) {
-      ctx.run_chunks(lanes, [&](std::size_t lane) {
-        PointCloudClassifier& lane_model = lane == 0 ? model : *replicas[lane - 1];
-        BatchedCloud lane_scratch;
-        for (std::size_t b = 1 + lane; b < num_batches; b += lanes) {
-          infer_batch_into(lane_model, samples, batch_size, b, lane_scratch, all);
-        }
-      });
-      return;
-    }
-  }
-
-  // Serial fallback (model not cloneable, single thread, or tiny input):
-  // the layer kernels still parallelise internally via ctx.
-  for (std::size_t b = 1; b < num_batches; ++b) {
-    infer_batch_into(model, samples, batch_size, b, scratch, all);
-  }
+  };
+  // One captured reference keeps the chunk functor in std::function's
+  // inline storage: dispatching the lanes allocates nothing.
+  ctx.run_chunks(num_lanes, [&run_lane](std::size_t l) { run_lane(l); });
 }
 
 std::vector<int> argmax_labels(const nn::Tensor& logits) {

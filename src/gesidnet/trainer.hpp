@@ -51,27 +51,40 @@ TrainStats train_classifier(PointCloudClassifier& model, const LabeledSamples& d
                             const TrainConfig& config,
                             exec::ExecContext& ctx = exec::ExecContext::global());
 
-/// Batched inference over a sample list; rows align with `samples`.
-/// When the model supports clone(), batches are distributed across
-/// per-thread replicas (batch slicing is fixed by `batch_size`, so logits
-/// match the serial path exactly); otherwise inference runs serially with
-/// the layer kernels parallelised on `ctx`.
-nn::Tensor predict_logits(PointCloudClassifier& model,
+/// One exec lane's working set for predict_logits_into(): its slice of the
+/// batch, that slice's logits and the model workspace. Kept across calls
+/// (DecisionScratch holds one set per lane), a warm forward allocates nothing.
+struct InferLane {
+  BatchedCloud batch;
+  nn::Tensor logits;
+  nn::Workspace ws;
+};
+
+/// Batched inference over a sample list; rows align with `samples`. The
+/// samples split into one contiguous slice per lane of `ctx` (at most one
+/// lane per sample); each lane runs the model's reentrant infer_into() on its
+/// slice, at most `batch_size` samples per call, with its own InferLane.
+/// Every logit row depends only on its own sample, so the result is bitwise
+/// the same for every lane count and batch size. Lanes run their kernels
+/// serially: the parallelism is over samples.
+void predict_logits_into(const PointCloudClassifier& model,
+                         std::span<const FeaturizedSample> samples, nn::Tensor& out,
+                         std::vector<InferLane>& lanes, exec::ExecContext& ctx,
+                         std::size_t batch_size = 64);
+
+/// Convenience variants with throwaway lanes.
+void predict_logits_into(const PointCloudClassifier& model,
+                         std::span<const FeaturizedSample> samples, nn::Tensor& out,
+                         std::size_t batch_size = 64,
+                         exec::ExecContext& ctx = exec::ExecContext::global());
+nn::Tensor predict_logits(const PointCloudClassifier& model,
+                          std::span<const FeaturizedSample> samples,
+                          std::size_t batch_size = 64,
+                          exec::ExecContext& ctx = exec::ExecContext::global());
+nn::Tensor predict_logits(const PointCloudClassifier& model,
                           const std::vector<FeaturizedSample>& samples,
                           std::size_t batch_size = 64,
                           exec::ExecContext& ctx = exec::ExecContext::global());
-
-/// Span variant (contiguous storage from any container).
-nn::Tensor predict_logits(PointCloudClassifier& model, std::span<const FeaturizedSample> samples,
-                          std::size_t batch_size = 64,
-                          exec::ExecContext& ctx = exec::ExecContext::global());
-
-/// Buffer-reusing variant: identical logits written into `out` (resized to
-/// samples × classes). The serving flush path calls this with a recycled
-/// tensor so repeated batches stop reallocating the result.
-void predict_logits_into(PointCloudClassifier& model, std::span<const FeaturizedSample> samples,
-                         nn::Tensor& out, std::size_t batch_size = 64,
-                         exec::ExecContext& ctx = exec::ExecContext::global());
 
 /// Argmax labels from logits.
 std::vector<int> argmax_labels(const nn::Tensor& logits);

@@ -70,12 +70,11 @@ FusedLinear::FusedLinear(Linear& linear, BatchNorm1d* bn, bool relu, QuantMode m
             static_cast<std::int16_t>(qweight_[j * in + k]);
       }
     }
-    qx_.assign(in_pad, 0);
-    qacc_.assign(out, 0);
   }
 }
 
-void FusedLinear::forward_int8_row(const float* x, float* y) const {
+void FusedLinear::forward_int8_row(const float* x, float* y, std::vector<std::int16_t>& qx_row,
+                                   std::vector<std::int32_t>& acc_row) const {
   const std::size_t in = weight_t_.rows();
   const std::size_t out = weight_t_.cols();
   const float* bias = bias_.row(0);
@@ -98,7 +97,7 @@ void FusedLinear::forward_int8_row(const float* x, float* y) const {
 
   const float sx = amax / 127.0f;
   const float inv_sx = 127.0f / amax;
-  std::int16_t* qx = qx_.data();
+  std::int16_t* qx = qx_row.data();
   std::size_t k = 0;
 #if defined(GP_INT8_VNNI)
   // Vectorized round-to-nearest-even + clamp. CVTPS2DQ and lrintf both
@@ -125,14 +124,14 @@ void FusedLinear::forward_int8_row(const float* x, float* y) const {
     if (q < -127) q = -127;
     qx[k] = static_cast<std::int16_t>(q);
   }
-  const std::size_t in_pad = qx_.size();  // (in+1) & ~1; padding stays 0
+  const std::size_t in_pad = qx_row.size();  // (in+1) & ~1; padding stays 0
 
   // Paired-k outer product into the int32 accumulator row. Exact int32
   // accumulation (|acc| <= 127*127*in, far below 2^31 for every layer width
   // here): associative, so the VNNI path, the scalar path, and every lane
   // count produce identical bits, and a (0, 0) activation pair can be
   // skipped outright — it contributes exactly 0 to every accumulator.
-  std::int32_t* acc = qacc_.data();
+  std::int32_t* acc = acc_row.data();
   std::memset(acc, 0, out * sizeof(std::int32_t));
   for (std::size_t k = 0; k < in_pad; k += 2) {
     const auto pair = static_cast<std::uint32_t>(static_cast<std::uint16_t>(qx[k])) |
@@ -171,16 +170,29 @@ void FusedLinear::forward_int8_row(const float* x, float* y) const {
 }
 
 Tensor FusedLinear::forward(const Tensor& input, bool /*training*/) {
+  Tensor out;
+  Workspace ws;
+  infer(input, out, ws);
+  return out;
+}
+
+void FusedLinear::infer(const Tensor& input, Tensor& result, Workspace& ws) const {
   const std::size_t in = weight_t_.rows();
   const std::size_t out = weight_t_.cols();
   check_arg(input.cols() == in, "FusedLinear input width mismatch");
 
-  Tensor result(input.rows(), out);
+  result.resize(input.rows(), out);
   if (quant_ == QuantMode::kInt8) {
+    const Workspace::Frame frame(ws);
+    std::vector<std::int16_t>& qx = ws.take<std::vector<std::int16_t>>();
+    std::vector<std::int32_t>& acc = ws.take<std::vector<std::int32_t>>();
+    qx.resize((in + 1) & ~std::size_t{1});
+    qx.back() = 0;  // the odd-width pad column must read as 0
+    acc.resize(out);
     for (std::size_t i = 0; i < input.rows(); ++i) {
-      forward_int8_row(input.row(i), result.row(i));
+      forward_int8_row(input.row(i), result.row(i), qx, acc);
     }
-    return result;
+    return;
   }
 
   const float* bias = bias_.row(0);
@@ -203,7 +215,6 @@ Tensor FusedLinear::forward(const Tensor& input, bool /*training*/) {
       }
     }
   }
-  return result;
 }
 
 Tensor FusedLinear::backward(const Tensor& /*grad_output*/) {

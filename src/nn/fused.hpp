@@ -23,11 +23,9 @@
 // elsewhere). The int32 accumulation is exact, so every lane count and both
 // code paths produce bitwise-identical results, and all-zero activation
 // pairs can be skipped (they contribute exactly 0) — the integer analogue of
-// the f32 path's ReLU-sparsity row skip. The int16/int32 scratch rows are
-// members sized once at fuse time, keeping the steady-state forward
-// allocation profile identical to the f32 path. forward() is single-caller
-// by contract (gp::serve's single pump thread / the serial fused-inference
-// fallback), which is what makes the member scratch safe.
+// the f32 path's ReLU-sparsity row skip. The int16/int32 scratch rows come
+// from the caller's nn::Workspace, so infer() is const and reentrant like
+// every other layer's: lanes share the folded tables, never the scratch.
 //
 // Determinism: for each output row the k-accumulation is a fixed serial
 // loop (f32) or an exact integer reduction (int8), so a sample's output
@@ -64,7 +62,9 @@ class FusedLinear : public Layer {
               QuantMode mode = QuantMode::kOff,
               const QuantLinearTables* preload = nullptr);
 
+  /// infer() with a throwaway workspace.
   Tensor forward(const Tensor& input, bool training) override;
+  void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   /// Fused layers are inference-only.
   Tensor backward(const Tensor& grad_output) override;
 
@@ -77,7 +77,10 @@ class FusedLinear : public Layer {
   const Tensor& weight_t() const { return weight_t_; }
 
  private:
-  void forward_int8_row(const float* x, float* y) const;
+  /// One row through the integer kernel; `qx_row` (even width, pad 0) and
+  /// `acc_row` (out) are the caller's scratch rows.
+  void forward_int8_row(const float* x, float* y, std::vector<std::int16_t>& qx_row,
+                        std::vector<std::int32_t>& acc_row) const;
 
   Tensor weight_t_;  ///< (in × out): transposed, BN-folded weights
   Tensor bias_;      ///< (1 × out): BN-folded bias
@@ -88,8 +91,6 @@ class FusedLinear : public Layer {
   /// Interleaved kernel panel built from qweight_ at fuse time:
   /// qwpair_[(k/2)·out·2 + 2j + (k&1)], zero-padded to an even k count.
   std::vector<std::int16_t> qwpair_;
-  mutable std::vector<std::int16_t> qx_;   ///< quantized activations (in, padded even)
-  mutable std::vector<std::int32_t> qacc_; ///< int32 accumulator row (out)
 };
 
 }  // namespace gp::nn

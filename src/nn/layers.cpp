@@ -1,5 +1,6 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace gp::nn {
@@ -19,16 +20,24 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng, std:
 }
 
 Tensor Linear::forward(const Tensor& input, bool /*training*/) {
-  check_arg(input.cols() == weight_.value.cols(), "Linear input width mismatch");
   cached_input_ = input;
   Tensor out;
+  affine(input, out);
+  return out;
+}
+
+void Linear::infer(const Tensor& input, Tensor& out, Workspace& /*ws*/) const {
+  affine(input, out);
+}
+
+void Linear::affine(const Tensor& input, Tensor& out) const {
+  check_arg(input.cols() == weight_.value.cols(), "Linear input width mismatch");
   matmul_bt(input, weight_.value, out);  // (N x in) * (out x in)^T
+  const float* b = bias_.value.row(0);
   for (std::size_t i = 0; i < out.rows(); ++i) {
     float* row = out.row(i);
-    const float* b = bias_.value.row(0);
     for (std::size_t j = 0; j < out.cols(); ++j) row[j] += b[j];
   }
-  return out;
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
@@ -54,16 +63,25 @@ std::vector<Parameter*> Linear::parameters() { return {&weight_, &bias_}; }
 // ---- ReLU ----------------------------------------------------------------
 
 Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
-  mask_ = Tensor(input.rows(), input.cols());
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out.vec()[i] > 0.0f) {
-      mask_.vec()[i] = 1.0f;
-    } else {
-      out.vec()[i] = 0.0f;
-    }
+  Tensor out;
+  rectify(input, out);
+  mask_.resize(input.rows(), input.cols());
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    mask_.vec()[i] = input.vec()[i] > 0.0f ? 1.0f : 0.0f;
   }
   return out;
+}
+
+void ReLU::infer(const Tensor& input, Tensor& out, Workspace& /*ws*/) const {
+  rectify(input, out);
+}
+
+void ReLU::rectify(const Tensor& input, Tensor& out) {
+  out.resize(input.rows(), input.cols());
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    const float v = input.vec()[i];
+    out.vec()[i] = v > 0.0f ? v : 0.0f;
+  }
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
@@ -75,7 +93,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 // ---- Dropout ---------------------------------------------------------------
 
-Dropout::Dropout(double p, Rng& rng) : p_(p), rng_(&rng) {
+Dropout::Dropout(double p, const Rng& rng) : p_(p), rng_(rng) {
   check_arg(p >= 0.0 && p < 1.0, "dropout p must be in [0,1)");
 }
 
@@ -88,7 +106,7 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
   Tensor out = input;
   for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (rng_->bernoulli(p_)) {
+    if (rng_.bernoulli(p_)) {
       mask_.vec()[i] = 0.0f;
       out.vec()[i] = 0.0f;
     } else {
@@ -97,6 +115,11 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
     }
   }
   return out;
+}
+
+void Dropout::infer(const Tensor& input, Tensor& out, Workspace& /*ws*/) const {
+  out.resize(input.rows(), input.cols());
+  std::copy(input.vec().begin(), input.vec().end(), out.vec().begin());
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
@@ -150,15 +173,31 @@ Tensor BatchNorm1d::forward(const Tensor& input, bool training) {
       v = running_var_.value.at(0, c);
     }
     batch_var_.at(0, c) = static_cast<float>(v);
-    const double inv_std = 1.0 / std::sqrt(v + eps_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double xh = (input.at(i, c) - m) * inv_std;
-      x_hat_.at(i, c) = static_cast<float>(xh);
-      out.at(i, c) = static_cast<float>(gamma_.value.at(0, c) * xh + beta_.value.at(0, c));
-    }
+    normalize_channel(input, c, m, v, out, &x_hat_);
   }
   trained_with_batch_ = training && n > 1;
   return out;
+}
+
+void BatchNorm1d::infer(const Tensor& input, Tensor& out, Workspace& /*ws*/) const {
+  check_arg(input.cols() == features_, "BatchNorm input width mismatch");
+  out.resize(input.rows(), features_);
+  for (std::size_t c = 0; c < features_; ++c) {
+    normalize_channel(input, c, running_mean_.value.at(0, c), running_var_.value.at(0, c), out,
+                      nullptr);
+  }
+}
+
+void BatchNorm1d::normalize_channel(const Tensor& input, std::size_t c, double m, double v,
+                                    Tensor& out, Tensor* x_hat) const {
+  const double inv_std = 1.0 / std::sqrt(v + eps_);
+  const float gamma = gamma_.value.at(0, c);
+  const float beta = beta_.value.at(0, c);
+  for (std::size_t i = 0; i < input.rows(); ++i) {
+    const double xh = (input.at(i, c) - m) * inv_std;
+    if (x_hat != nullptr) x_hat->at(i, c) = static_cast<float>(xh);
+    out.at(i, c) = static_cast<float>(gamma * xh + beta);
+  }
 }
 
 Tensor BatchNorm1d::backward(const Tensor& grad_output) {
@@ -211,6 +250,20 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
   Tensor x = input;
   for (auto& layer : layers_) x = layer->forward(x, training);
   return x;
+}
+
+void Sequential::infer(const Tensor& input, Tensor& out, Workspace& ws) const {
+  check(!layers_.empty(), "Sequential::infer on an empty stack");
+  const Workspace::Frame frame(ws);
+  Tensor* ping = &ws.take<Tensor>();
+  Tensor* pong = &ws.take<Tensor>();
+  const Tensor* x = &input;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    Tensor& y = i + 1 == layers_.size() ? out : *ping;
+    layers_[i]->infer(*x, y, ws);
+    x = &y;
+    std::swap(ping, pong);
+  }
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {

@@ -1,10 +1,18 @@
 // Neural-network layers with hand-written exact backward passes.
 //
-// Layers are stateful: forward() caches whatever backward() needs, so the
-// usual call pattern is forward -> loss -> backward in lockstep. Parameter
-// gradients accumulate into Parameter::grad until the optimiser consumes
-// and clears them. Every backward pass here is verified against numerical
-// differentiation in tests/test_nn_gradcheck.cpp.
+// Two entry points share one set of kernels:
+//   * forward(x, training) is the training path: it caches whatever
+//     backward() needs, so the usual call pattern is forward -> loss ->
+//     backward in lockstep. Parameter gradients accumulate into
+//     Parameter::grad until the optimiser consumes and clears them. Every
+//     backward pass here is verified against numerical differentiation in
+//     tests/test_nn_gradcheck.cpp.
+//   * infer(x, out, ws) const is the inference path: it reads only const
+//     weights (batch-norm on its running statistics, dropout as identity),
+//     writes no member state and takes its temporaries from a caller-owned
+//     nn::Workspace. Concurrent calls with distinct workspaces are safe, a
+//     warm call allocates nothing, and its output is bitwise that of
+//     forward(x, /*training=*/false).
 #pragma once
 
 #include <memory>
@@ -14,6 +22,7 @@
 #include "common/rng.hpp"
 #include "nn/quant.hpp"
 #include "nn/tensor.hpp"
+#include "nn/workspace.hpp"
 
 namespace gp::nn {
 
@@ -30,6 +39,8 @@ class Layer {
   virtual ~Layer() = default;
   /// `training` toggles dropout/batch-norm statistics behaviour.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
+  /// Inference-mode forward into `out` (resized; must not alias `input`).
+  virtual void infer(const Tensor& input, Tensor& out, Workspace& ws) const = 0;
   /// Consumes dL/d(output); returns dL/d(input); accumulates param grads.
   virtual Tensor backward(const Tensor& grad_output) = 0;
   virtual std::vector<Parameter*> parameters() { return {}; }
@@ -44,6 +55,7 @@ class Linear : public Layer {
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng, std::string name = "linear");
 
   Tensor forward(const Tensor& input, bool training) override;
+  void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
 
@@ -51,6 +63,9 @@ class Linear : public Layer {
   Parameter& bias() { return bias_; }
 
  private:
+  /// out = input W^T + b: the one kernel behind forward() and infer().
+  void affine(const Tensor& input, Tensor& out) const;
+
   Parameter weight_;  ///< (out x in)
   Parameter bias_;    ///< (1 x out)
   Tensor cached_input_;
@@ -59,22 +74,32 @@ class Linear : public Layer {
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
+  void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
 
  private:
+  /// out = max(input, 0): the kernel behind forward() and infer().
+  static void rectify(const Tensor& input, Tensor& out);
+
   Tensor mask_;
 };
 
 /// Inverted dropout: scales kept activations by 1/(1-p) during training.
+/// The layer owns its mask stream: a copy of `rng`, restarted by reseed().
+/// Models reseed it from their construction Rng after the last weight draw,
+/// so the masks continue that stream and never read a caller's dead Rng.
 class Dropout : public Layer {
  public:
-  Dropout(double p, Rng& rng);
+  Dropout(double p, const Rng& rng);
+  void reseed(const Rng& rng) { rng_ = rng; }
   Tensor forward(const Tensor& input, bool training) override;
+  /// Identity (a copy): dropout is off at inference.
+  void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
 
  private:
   double p_;
-  Rng* rng_;
+  Rng rng_;
   Tensor mask_;
 };
 
@@ -86,6 +111,8 @@ class BatchNorm1d : public Layer {
               std::string name = "bn");
 
   Tensor forward(const Tensor& input, bool training) override;
+  /// Normalises with the running statistics.
+  void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::vector<Parameter*> buffers() override;
@@ -97,6 +124,11 @@ class BatchNorm1d : public Layer {
   double eps() const { return eps_; }
 
  private:
+  /// out(:, c) = γ_c·(x(:, c) − m)/√(v + ε) + β_c, also storing x̂ when asked:
+  /// the per-channel map behind both forward() and infer().
+  void normalize_channel(const Tensor& input, std::size_t c, double m, double v, Tensor& out,
+                         Tensor* x_hat) const;
+
   std::size_t features_;
   double momentum_;
   double eps_;
@@ -125,6 +157,8 @@ class Sequential : public Layer {
   }
 
   Tensor forward(const Tensor& input, bool training) override;
+  /// Runs every layer's infer() through two ping-pong workspace buffers.
+  void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::vector<Parameter*> buffers() override;

@@ -252,4 +252,28 @@ void matmul_at(const Tensor& a, const Tensor& b, Tensor& out, exec::ExecContext&
   ctx.parallel_for_chunks(0, a.cols(), row_grain(a.cols(), K * N), panel);
 }
 
+void max_pool_rows(const Tensor& act, std::size_t groups, std::size_t m, Tensor& out,
+                   std::size_t col_offset, std::size_t* argmax) {
+  const std::size_t cs = act.cols();
+  check_arg(m > 0 && act.rows() == groups * m, "max_pool_rows: rows are not groups x m");
+  check_arg(out.rows() >= groups && out.cols() >= col_offset + cs,
+            "max_pool_rows: output too small");
+  for (std::size_t g = 0; g < groups; ++g) {
+    float* dst = out.row(g) + col_offset;
+    for (std::size_t c = 0; c < cs; ++c) {
+      std::size_t best_row = g * m;
+      float best = act.at(best_row, c);
+      for (std::size_t j = 1; j < m; ++j) {
+        const float v = act.at(g * m + j, c);
+        if (v > best) {
+          best = v;
+          best_row = g * m + j;
+        }
+      }
+      dst[c] = best;
+      if (argmax != nullptr) argmax[g * cs + c] = best_row;
+    }
+  }
+}
+
 }  // namespace gp::nn

@@ -78,4 +78,12 @@ void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out,
 void matmul_at(const Tensor& a, const Tensor& b, Tensor& out,
                exec::ExecContext& ctx = exec::ExecContext::global());
 
+/// Channel-wise max pool over consecutive row groups: for g < groups,
+/// out(g, col_offset + c) = max over rows [g*m, (g+1)*m) of act(·, c), first
+/// maximum winning ties. `argmax` (groups × act.cols(), optional) receives
+/// each winning row — the routing table a pooling backward needs. `out` must
+/// already hold at least col_offset + act.cols() columns and `groups` rows.
+void max_pool_rows(const Tensor& act, std::size_t groups, std::size_t m, Tensor& out,
+                   std::size_t col_offset, std::size_t* argmax);
+
 }  // namespace gp::nn

@@ -59,8 +59,10 @@ struct BufferDirectory {
 };
 
 BufferDirectory& directory() {
-  static BufferDirectory dir;
-  return dir;
+  // Never destroyed, like ExecContext::global(): its pool workers outlive
+  // static destruction and may still register their buffers at exit.
+  static BufferDirectory* dir = new BufferDirectory();
+  return *dir;
 }
 
 TraceBuffer& thread_buffer() {
@@ -121,6 +123,11 @@ std::vector<StageSnapshot> stage_snapshots() {
 }
 
 // -------------------------------------------------------------------- Span
+
+int span_depth() { return tl_span_depth; }
+
+SpanDepthScope::SpanDepthScope(int depth) : saved_(tl_span_depth) { tl_span_depth = depth; }
+SpanDepthScope::~SpanDepthScope() { tl_span_depth = saved_; }
 
 Span::Span(const char* name, StageStats* stats) {
   const bool metrics = metrics_enabled();

@@ -17,7 +17,9 @@
 //
 // Spans nest arbitrarily and are thread-aware: each thread tracks its own
 // depth and owns its own buffer, so instrumenting code inside gp::exec
-// parallel regions is safe and TSan-clean. Span names must be string
+// parallel regions is safe and TSan-clean. A pool worker's depth starts at
+// the submitting thread's (SpanDepthScope), so work fanned out to the pool
+// nests under the span that fanned it out. Span names must be string
 // literals (the buffers store the pointer, not a copy).
 //
 // Tracing never perturbs determinism: no RNG use, no FP-order changes.
@@ -95,6 +97,24 @@ class Span {
   std::uint64_t start_ns_ = 0;
   int depth_ = 0;
   bool active_ = false;
+};
+
+/// Depth the calling thread's next span opens at (0 outside every span).
+int span_depth();
+
+/// While alive, spans the calling thread opens nest at `depth` and below,
+/// as if under a parent span at depth - 1. gp::exec pool workers hold one
+/// per region at the submitting thread's depth, so a region's spans sit
+/// under the span that submitted it, on every thread that helps.
+class SpanDepthScope {
+ public:
+  explicit SpanDepthScope(int depth);
+  ~SpanDepthScope();
+  SpanDepthScope(const SpanDepthScope&) = delete;
+  SpanDepthScope& operator=(const SpanDepthScope&) = delete;
+
+ private:
+  int saved_;
 };
 
 #define GP_OBS_CONCAT2(a, b) a##b

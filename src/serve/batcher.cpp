@@ -19,8 +19,8 @@ std::uint64_t sat_us(std::uint64_t later_ns, std::uint64_t earlier_ns) {
 }  // namespace
 
 MicroBatcher::MicroBatcher(const ServeConfig& config, ModelRegistry& registry,
-                           health::HealthMonitor* monitor)
-    : config_(&config), registry_(&registry), monitor_(monitor) {}
+                           exec::ExecContext& ctx, health::HealthMonitor* monitor)
+    : config_(&config), registry_(&registry), ctx_(&ctx), monitor_(monitor) {}
 
 void MicroBatcher::submit(std::vector<SegmentPtr>& segments) {
   if (segments.empty()) return;
@@ -132,7 +132,7 @@ void MicroBatcher::run_batch_into(std::vector<ServeResult>& results) {
     GesturePrintSystem& system = *snapshot->system;
     const std::uint64_t f0 = health_on ? monotonic_ns() : 0;
     decide_batch(system, scratch_.rows.span(), scratch_.counts, system.config().abstain_margin,
-                 scratch_.decide, scratch_.decisions);
+                 scratch_.decide, scratch_.decisions, *ctx_);
     if (health_on) forward_ns += monotonic_ns() - f0;
     for (std::size_t k = 0; k < live.size(); ++k) {
       const InferenceResult& d = scratch_.decisions[k];

@@ -14,7 +14,8 @@
 // Correctness under batching: the inference stack is per-sample
 // batch-composition independent (inference-mode BN uses running stats;
 // matmuls and SA grouping are row-local), so a segment's result does not
-// depend on which other sessions' segments shared its flush. Hot-swap
+// depend on which other sessions' segments shared its flush, nor on how
+// many exec lanes the flush's forwards were sharded across. Hot-swap
 // atomicity: the snapshot shared_ptr is acquired once per flush, so a batch
 // is always answered entirely by one model version even if a publish lands
 // mid-flush.
@@ -39,9 +40,10 @@ namespace gp::serve {
 
 class MicroBatcher {
  public:
-  /// `monitor` (optional) receives per-request stage breakdowns and batch
-  /// flush records; it must outlive the batcher.
-  MicroBatcher(const ServeConfig& config, ModelRegistry& registry,
+  /// Flush forwards shard their rows across the lanes of `ctx`. `monitor`
+  /// (optional) receives per-request stage breakdowns and batch flush
+  /// records. Both must outlive the batcher.
+  MicroBatcher(const ServeConfig& config, ModelRegistry& registry, exec::ExecContext& ctx,
                health::HealthMonitor* monitor = nullptr);
 
   /// Accepts completed segments, moving them out of `segments` (which is
@@ -85,6 +87,7 @@ class MicroBatcher {
 
   const ServeConfig* config_;
   ModelRegistry* registry_;
+  exec::ExecContext* ctx_;
   health::HealthMonitor* monitor_;
   EnrollmentHook* enroll_ = nullptr;  ///< armed by Server when GP_ENROLL=1
   mutable std::mutex mu_;

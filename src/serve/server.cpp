@@ -14,7 +14,7 @@ Server::Server(const ServeConfig& config, ModelRegistry& registry, exec::ExecCon
       ctx_(&ctx),
       monitor_(config_.health, config_.batch_max),
       sessions_(config_, &monitor_),
-      batcher_(config_, *registry_, &monitor_) {
+      batcher_(config_, *registry_, ctx, &monitor_) {
   // Force the global recorder's ring into existence now, so a steady tick
   // never pays its construction (ServeSteadyTickZeroAlloc).
   (void)health::FlightRecorder::global().capacity();

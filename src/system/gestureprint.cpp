@@ -402,10 +402,9 @@ InferenceResult GesturePrintSystem::classify(const GestureCloud& cloud) {
     Rng feat_rng = rng_.fork();
     variants.push_back(featurize(cloud, config_.prep.features, feat_rng));
   }
-  DecisionScratch scratch;
-  mem::SlotVector<InferenceResult> decisions;
-  decide_batch(*this, variants, {&rounds, 1}, config_.abstain_margin, scratch, decisions);
-  InferenceResult& result = decisions[0];
+  decide_batch(*this, variants, {&rounds, 1}, config_.abstain_margin, classify_scratch_,
+               classify_decisions_, exec::ExecContext::global());
+  InferenceResult& result = classify_decisions_[0];
   if (result.gesture == kAbstain) GP_COUNTER_ADD("gp.system.abstained.gesture", 1);
   else if (result.user == kAbstain) GP_COUNTER_ADD("gp.system.abstained.user", 1);
   return std::move(result);
@@ -433,7 +432,8 @@ bool decide_head(const nn::Tensor& probs, std::size_t begin, std::size_t count, 
 
 void decide_batch(GesturePrintSystem& system, std::span<const FeaturizedSample> rows,
                   std::span<const std::size_t> variant_counts, double margin,
-                  DecisionScratch& scratch, mem::SlotVector<InferenceResult>& out) {
+                  DecisionScratch& scratch, mem::SlotVector<InferenceResult>& out,
+                  exec::ExecContext& ctx) {
   const std::size_t n = variant_counts.size();
   out.clear();
   std::vector<std::size_t>& row_begin = scratch.row_begin;
@@ -444,7 +444,7 @@ void decide_batch(GesturePrintSystem& system, std::span<const FeaturizedSample> 
             "decide_batch row count mismatch");
 
   // Gesture pass: every segment's TTA variants in one forward.
-  predict_logits_into(system.gesture_model(), rows, scratch.logits);
+  predict_logits_into(system.gesture_model(), rows, scratch.logits, scratch.lanes, ctx);
   nn::softmax_into(scratch.logits, scratch.probs);
 
   // Per segment: gesture answer and gate, then route the survivors. An
@@ -487,7 +487,8 @@ void decide_batch(GesturePrintSystem& system, std::span<const FeaturizedSample> 
       }
       user_rows = scratch.group_rows.span();
     }
-    predict_logits_into(*system.user_model(model_idx), user_rows, scratch.logits);
+    predict_logits_into(*system.user_model(model_idx), user_rows, scratch.logits, scratch.lanes,
+                        ctx);
     nn::softmax_into(scratch.logits, scratch.probs);
     std::size_t begin = 0;
     for (const std::size_t k : members) {

@@ -84,6 +84,16 @@ struct SystemEvaluation {
   ConfusionMatrix user_confusion{2};
 };
 
+/// Working set of decide_batch(), reused across calls (keeps capacity).
+struct DecisionScratch {
+  std::vector<std::size_t> row_begin;              ///< first row per segment
+  std::vector<std::vector<std::size_t>> by_model;  ///< routed segments per ID model
+  mem::SlotVector<FeaturizedSample> group_rows;    ///< user-pass row table
+  std::vector<InferLane> lanes;                    ///< one per exec lane
+  nn::Tensor logits;
+  nn::Tensor probs;
+};
+
 class GesturePrintSystem {
  public:
   explicit GesturePrintSystem(GesturePrintConfig config = {});
@@ -177,15 +187,9 @@ class GesturePrintSystem {
   std::unique_ptr<GesIDNet> gesture_model_;
   /// Serialized mode: index = gesture id; parallel mode: single entry.
   std::vector<std::unique_ptr<GesIDNet>> user_models_;
-};
-
-/// Working set of decide_batch(), reused across calls (keeps capacity).
-struct DecisionScratch {
-  std::vector<std::size_t> row_begin;              ///< first row per segment
-  std::vector<std::vector<std::size_t>> by_model;  ///< routed segments per ID model
-  mem::SlotVector<FeaturizedSample> group_rows;    ///< user-pass row table
-  nn::Tensor logits;
-  nn::Tensor probs;
+  /// classify()'s decide_batch working set and answer slot.
+  DecisionScratch classify_scratch_;
+  mem::SlotVector<InferenceResult> classify_decisions_;
 };
 
 /// The runtime decision path (Fig. 4, §IV-C) of classify() (a batch of one)
@@ -193,11 +197,14 @@ struct DecisionScratch {
 /// back, `variant_counts[k]` ≥ 1 for segment k. One gesture forward, a
 /// double TTA average + margin gate per segment, routing (parallel → model
 /// 0, serialized → model `gesture`, none if null), one forward per routed
-/// user model in ascending index, the same gate on the user head. Answers
-/// do not depend on batch composition. `out` gets N answers in recycled
-/// slots, so their probability buffers keep capacity across calls.
+/// user model in ascending index, the same gate on the user head. Each
+/// forward shards its rows across the lanes of `ctx` (predict_logits_into).
+/// Answers depend neither on batch composition nor on the lane count. `out`
+/// gets N answers in recycled slots, so their probability buffers keep
+/// capacity across calls; once warm, a call allocates nothing.
 void decide_batch(GesturePrintSystem& system, std::span<const FeaturizedSample> rows,
                   std::span<const std::size_t> variant_counts, double margin,
-                  DecisionScratch& scratch, mem::SlotVector<InferenceResult>& out);
+                  DecisionScratch& scratch, mem::SlotVector<InferenceResult>& out,
+                  exec::ExecContext& ctx);
 
 }  // namespace gp

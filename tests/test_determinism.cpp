@@ -178,13 +178,49 @@ TEST(Determinism, TrainingLossIsThreadCountInvariant) {
   EXPECT_TRUE(logits_s.vec() == logits_w.vec());
 }
 
+// A model owns its dropout stream: training it after the Rng it was built
+// from has gone out of scope draws the same masks as training it while that
+// Rng is alive. A layer that referred back to the caller's Rng would read a
+// dead stack slot here (and fail under ASan).
+TEST(Determinism, DropoutStreamOutlivesTheConstructionRng) {
+  LabeledSamples data;
+  {
+    Rng rng(9);
+    for (std::size_t i = 0; i < 12; ++i) {
+      data.push(synth_sample(0, rng), 0);
+      data.push(synth_sample(1, rng), 1);
+    }
+  }
+  TrainConfig train_config;
+  train_config.epochs = 2;
+  train_config.batch_size = 6;
+  train_config.seed = 7;
+  exec::ExecContext serial(1);
+
+  Rng init(31);
+  GesIDNet alive(tiny_config(), init);
+  train_classifier(alive, data, train_config, serial);
+
+  std::unique_ptr<GesIDNet> orphan = [] {
+    Rng dead(31);
+    return std::make_unique<GesIDNet>(tiny_config(), dead);
+  }();
+  train_classifier(*orphan, data, train_config, serial);
+
+  const auto a = alive.parameters();
+  const auto b = orphan->parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i]->value.vec() == b[i]->value.vec()) << a[i]->name;
+  }
+}
+
 // --- int8 quantized inference must be bitwise repeatable -------------------
 
 // GP_QUANT=int8 keeps the determinism contract: the integer kernel's int32
 // accumulation is exact, so two identically-trained models fused with
 // QuantMode::kInt8 emit bitwise-identical logits, independent of thread
-// count (the serial fused-inference fallback notwithstanding, predict_logits
-// is exercised at both 1 and 8 threads).
+// count (predict_logits shards the samples over 1 and 8 lanes).
 TEST(Determinism, QuantizedInferenceIsBitwiseRepeatable) {
   LabeledSamples data;
   {
@@ -219,8 +255,8 @@ TEST(Determinism, QuantizedInferenceIsBitwiseRepeatable) {
   EXPECT_TRUE(la.vec() == lb.vec())
       << "int8 fused inference must be bitwise repeatable across runs/threads";
 
-  // And repeatable on the same model instance (the member scratch rows must
-  // not leak state between forward calls).
+  // And repeatable on the same model instance (scratch rows must not leak
+  // state between forward calls).
   const nn::Tensor lc = predict_logits(*a, data.samples, 6, serial);
   EXPECT_TRUE(la.vec() == lc.vec());
 }
@@ -303,8 +339,8 @@ TEST(Determinism, ServeResultsInvariantToHealthMonitoring) {
   }
 }
 
-// Replica-based parallel inference must agree bitwise with the serial path.
-TEST(Determinism, PredictLogitsReplicasMatchSerial) {
+// Sample-sharded parallel inference must agree bitwise with the serial path.
+TEST(Determinism, PredictLogitsShardsMatchSerial) {
   std::vector<FeaturizedSample> samples;
   {
     Rng rng(17);
@@ -315,7 +351,7 @@ TEST(Determinism, PredictLogitsReplicasMatchSerial) {
 
   exec::ExecContext serial(1);
   exec::ExecContext wide(8);
-  // Small batches so the parallel path actually uses several lanes.
+  // Small batches so each lane runs several infer_into calls.
   const nn::Tensor a = predict_logits(model, samples, /*batch_size=*/4, serial);
   const nn::Tensor b = predict_logits(model, samples, /*batch_size=*/4, wide);
   ASSERT_EQ(a.rows(), samples.size());

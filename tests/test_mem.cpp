@@ -377,11 +377,53 @@ TEST(Mem, ServeSteadyTickZeroAlloc) {
 }
 
 // The int8 fused path keeps the same allocation profile: its quantized
-// activation/accumulator scratch rows are members sized once at fuse time
+// activation/accumulator scratch rows come from the lanes' warm workspaces
 // (see nn/fused.hpp), so a warm quantized server's quiet tick is just as
 // heap-silent as the f32 one.
 TEST(Mem, ServeSteadyTickZeroAllocQuantized) {
   run_steady_tick_zero_alloc(nn::QuantMode::kInt8);
+}
+
+// A working tick's forward: decide_batch on a fused snapshot — several
+// segments of 3 TTA rows, the gesture pass and every routed user pass,
+// sharded over 1 and 4 exec lanes — touches the heap zero times once its
+// DecisionScratch (lane workspaces included) and answer slots are warm.
+void run_decide_batch_zero_alloc(nn::QuantMode quant) {
+  GesturePrintSystem system(world().config);
+  ASSERT_TRUE(system.try_load(world().model_path));
+  system.fuse_for_inference(quant);
+
+  std::vector<FeaturizedSample> rows;
+  std::vector<std::size_t> counts;
+  for (std::size_t k = 0; k < world().clouds.size(); ++k) {
+    counts.push_back(3);
+    for (std::size_t r = 0; r < 3; ++r) {
+      Rng rng = exec::child_rng(0xA110Cu + k, r);
+      rows.push_back(featurize(world().clouds[k], world().config.prep.features, rng));
+    }
+  }
+  ASSERT_GE(counts.size(), 3u) << "the stream should hold several gestures";
+
+  for (const std::size_t threads : {1, 4}) {
+    exec::ExecContext ctx(threads);
+    DecisionScratch scratch;
+    mem::SlotVector<InferenceResult> out;
+    decide_batch(system, rows, counts, 0.0, scratch, out, ctx);  // warm
+    std::size_t user_answers = 0;
+    for (const InferenceResult& d : out) user_answers += d.user >= 0;
+    ASSERT_GT(user_answers, 0u) << "no user pass ran";
+    {
+      GP_ASSERT_NO_ALLOC("warm decide_batch");
+      decide_batch(system, rows, counts, 0.0, scratch, out, ctx);
+    }
+    EXPECT_EQ(out.size(), counts.size());
+  }
+}
+
+TEST(Mem, DecideBatchZeroAllocWarm) { run_decide_batch_zero_alloc(nn::QuantMode::kOff); }
+
+TEST(Mem, DecideBatchZeroAllocWarmQuantized) {
+  run_decide_batch_zero_alloc(nn::QuantMode::kInt8);
 }
 
 }  // namespace

@@ -109,6 +109,16 @@ class SetAbstractionAdapter : public nn::Layer {
     cloud.features = input;
     return sa_.forward(cloud, training).features;
   }
+  void infer(const Tensor& input, Tensor& out, nn::Workspace& ws) const override {
+    BatchedCloud cloud;
+    cloud.batch = batch_;
+    cloud.num_points = num_points_;
+    cloud.positions = positions_;
+    cloud.features = input;
+    BatchedCloud pooled;
+    sa_.infer(cloud, pooled, ws);
+    out = pooled.features;
+  }
   Tensor backward(const Tensor& grad_output) override { return sa_.backward(grad_output); }
   std::vector<nn::Parameter*> parameters() override { return sa_.parameters(); }
 
@@ -151,6 +161,14 @@ class GroupAllAdapter : public nn::Layer {
     cloud.features = input;
     return ga_.forward(cloud, training);
   }
+  void infer(const Tensor& input, Tensor& out, nn::Workspace& ws) const override {
+    BatchedCloud cloud;
+    cloud.batch = batch_;
+    cloud.num_points = num_points_;
+    cloud.positions = positions_;
+    cloud.features = input;
+    ga_.infer(cloud, out, ws);
+  }
   Tensor backward(const Tensor& grad_output) override { return ga_.backward(grad_output); }
   std::vector<nn::Parameter*> parameters() override { return ga_.parameters(); }
 
@@ -184,6 +202,13 @@ class FusionAdapter : public nn::Layer {
 
   Tensor forward(const Tensor& input, bool /*training*/) override {
     return vary_resized_ ? fusion_.forward(input, fixed_) : fusion_.forward(fixed_, input);
+  }
+  void infer(const Tensor& input, Tensor& out, nn::Workspace& /*ws*/) const override {
+    if (vary_resized_) {
+      fusion_.infer(input, fixed_, out);
+    } else {
+      fusion_.infer(fixed_, input, out);
+    }
   }
   Tensor backward(const Tensor& grad_output) override {
     auto grads = fusion_.backward(grad_output);

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include "gesidnet/gesidnet.hpp"
 #include "gesidnet/trainer.hpp"
 #include "common/error.hpp"
+#include "exec/exec.hpp"
 #include "nn/tensor.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/json.hpp"
@@ -312,6 +314,52 @@ TEST(ObsTrace, StageStatsRecordMinDepthAndDurations) {
   }
   EXPECT_TRUE(outer_seen);
   EXPECT_TRUE(inner_seen);
+}
+
+// Work fanned out to the pool nests under the span that fanned it out: a
+// worker's spans open at the submitting thread's depth + 1, exactly like
+// the caller's own share of the region, so lane spans never register as
+// top-level (min-depth-0) stages beside their parent.
+TEST(ObsTrace, PoolSpansNestUnderTheSubmittingSpan) {
+  ObsSwitchGuard guard;
+  obs::set_metrics_enabled(true);
+  obs::set_trace_enabled(true);
+  obs::clear_trace();
+
+  exec::ExecContext ctx(2);
+  std::atomic<int> arrived{0};
+  {
+    GP_SPAN("test.pool_submit");
+    // Each chunk waits for the other, so the worker must run one of them.
+    ctx.run_chunks(2, [&arrived](std::size_t) {
+      GP_SPAN("test.pool_lane");
+      arrived.fetch_add(1);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  ASSERT_EQ(arrived.load(), 2);
+
+  std::vector<int> lane_tids;
+  for (const auto& e : obs::collect_trace_events()) {
+    if (std::string(e.name) == "test.pool_submit") {
+      EXPECT_EQ(e.depth, 0);
+    }
+    if (std::string(e.name) == "test.pool_lane") {
+      EXPECT_EQ(e.depth, 2) << "tid " << e.tid;  // submit 0 > exec.work 1 > lane 2
+      lane_tids.push_back(e.tid);
+    }
+  }
+  ASSERT_EQ(lane_tids.size(), 2u);
+  EXPECT_NE(lane_tids[0], lane_tids[1]) << "both chunks ran on one thread";
+  for (const auto& stage : obs::stage_snapshots()) {
+    if (stage.name == "test.pool_lane") {
+      EXPECT_EQ(stage.min_depth, 2);
+    }
+  }
+  EXPECT_EQ(obs::span_depth(), 0);  // the caller's depth is restored
 }
 
 TEST(ObsTrace, ChromeTraceJsonIsWellFormed) {

@@ -502,7 +502,7 @@ std::vector<InferenceResult> decide(GesturePrintSystem& system,
                                     std::span<const std::size_t> counts, double margin) {
   DecisionScratch scratch;
   mem::SlotVector<InferenceResult> out;
-  decide_batch(system, rows, counts, margin, scratch, out);
+  decide_batch(system, rows, counts, margin, scratch, out, exec::ExecContext::global());
   return {out.begin(), out.end()};
 }
 

@@ -121,7 +121,13 @@ void predict_logits_into(const PointCloudClassifier& model,
   check_arg(!samples.empty(), "predict over empty sample list");
   check_arg(batch_size > 0, "predict batch size must be > 0");
   const std::size_t n = samples.size();
-  const std::size_t num_lanes = std::min(ctx.threads(), n);
+  // A region lasts as long as its slowest lane, and a lane of one sample has
+  // nothing to amortise its wake-up against: on a shared host one
+  // descheduled lane stalls the whole forward. So every lane gets at least
+  // kMinSamplesPerLane samples, and a lone segment's TTA rows run inline.
+  constexpr std::size_t kMinSamplesPerLane = 2;
+  const std::size_t num_lanes = std::clamp<std::size_t>(
+      std::min(ctx.threads(), n / kMinSamplesPerLane), 1, n);
   if (lanes.size() < num_lanes) lanes.resize(num_lanes);
   all.resize(n, model.num_classes());
 

@@ -61,8 +61,9 @@ struct InferLane {
 };
 
 /// Batched inference over a sample list; rows align with `samples`. The
-/// samples split into one contiguous slice per lane of `ctx` (at most one
-/// lane per sample); each lane runs the model's reentrant infer_into() on its
+/// samples split into one contiguous slice per lane of `ctx` (at least two
+/// samples per lane, so a single segment's TTA rows run inline on the
+/// caller); each lane runs the model's reentrant infer_into() on its
 /// slice, at most `batch_size` samples per call, with its own InferLane.
 /// Every logit row depends only on its own sample, so the result is bitwise
 /// the same for every lane count and batch size. Lanes run their kernels

@@ -9,8 +9,7 @@
 // Build & run:  ./build/examples/serve_demo
 //
 // Environment knobs (see README): GP_SERVE_SHARDS, GP_SERVE_BATCH_MAX,
-// GP_SERVE_BATCH_WAIT_US, GP_SERVE_QUEUE_CAP, GP_SERVE_STALE_TICKS,
-// GP_THREADS, GP_FAULTS.
+// GP_SERVE_BATCH_WAIT_US, GP_SERVE_QUEUE_CAP, GP_THREADS, GP_FAULTS.
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -130,7 +129,7 @@ int main() {
   const health::HealthSnapshot h = server.health_snapshot();
   const health::WindowStats& w = h.slo_window;
   std::cout << "\n" << c.frames_admitted << " frames admitted, " << c.frames_rejected
-            << " shed at admission, " << c.stale_sheds << " shed stale; " << c.segments
+            << " shed at admission, " << c.fault_drops << " lost to faults; " << c.segments
             << " segments in " << c.batches << " micro-batches; " << rejected
             << " pushes refused; final model v" << registry.version() << ".\n";
   std::cout << "health (" << w.ticks << " ticks): " << w.counts.segments

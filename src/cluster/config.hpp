@@ -52,9 +52,7 @@ struct ClusterConfig {
   /// serve with no model — typed no-model abstentions).
   std::string model_path;
   /// Per-worker serving configuration. Workers force batch_wait_us=0 (every
-  /// pump flushes, so checkpoints see a quiescent batcher) and
-  /// stale_after_ticks=0 (per-worker tick counts vary with worker count;
-  /// tick-based shedding would break the worker-count determinism bar).
+  /// pump flushes, so checkpoints see a quiescent batcher).
   serve::ServeConfig serve;
   /// Link chaos applied to both directions of every link (tests/bench).
   LinkFaultConfig link_faults;

@@ -107,10 +107,8 @@ int worker_main(int fd, const ClusterConfig& config, std::size_t slot) {
 
   serve::ServeConfig sc = config.serve;
   // Every pump flushes the batcher, so a checkpoint exported right after
-  // the pump of the same tick captures the whole stream; tick-based shedding is disabled because
-  // per-worker tick counts vary with the worker count (determinism bar).
+  // the pump of the same tick captures the whole stream.
   sc.batch_wait_us = 0;
-  sc.stale_after_ticks = 0;
 
   serve::ModelRegistry registry(sc.system);
   if (!config.model_path.empty() &&

@@ -15,9 +15,6 @@ namespace gp {
 inline constexpr double kPi = 3.14159265358979323846;
 inline constexpr double kSpeedOfLight = 299792458.0;  // m/s
 
-inline double deg2rad(double deg) { return deg * kPi / 180.0; }
-inline double rad2deg(double rad) { return rad * 180.0 / kPi; }
-
 /// n evenly spaced values covering [lo, hi] inclusive. n >= 2.
 inline std::vector<double> linspace(double lo, double hi, std::size_t n) {
   check_arg(n >= 2, "linspace requires n >= 2");

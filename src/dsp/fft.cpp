@@ -107,12 +107,6 @@ std::vector<cplx> ifft(const std::vector<cplx>& input) {
   return out;
 }
 
-std::vector<cplx> rfft(const std::vector<double>& input) {
-  std::vector<cplx> c(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) c[i] = cplx(input[i], 0.0);
-  return fft(c);
-}
-
 std::vector<double> magnitude(const std::vector<cplx>& spectrum) {
   std::vector<double> out(spectrum.size());
   for (std::size_t i = 0; i < spectrum.size(); ++i) out[i] = std::abs(spectrum[i]);

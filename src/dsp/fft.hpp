@@ -24,9 +24,6 @@ std::vector<cplx> fft(const std::vector<cplx>& input);
 /// Inverse DFT of arbitrary length; ifft(fft(x)) == x.
 std::vector<cplx> ifft(const std::vector<cplx>& input);
 
-/// Forward DFT of a real signal; returns all N complex bins.
-std::vector<cplx> rfft(const std::vector<double>& input);
-
 /// True iff n is a power of two (n >= 1).
 bool is_pow2(std::size_t n);
 

@@ -34,11 +34,6 @@ std::vector<double> make_window(WindowKind kind, std::size_t n) {
   return w;
 }
 
-void apply_window(std::vector<double>& signal, const std::vector<double>& window) {
-  check_arg(signal.size() == window.size(), "window/signal size mismatch");
-  for (std::size_t i = 0; i < signal.size(); ++i) signal[i] *= window[i];
-}
-
 double coherent_gain(const std::vector<double>& window) {
   check_arg(!window.empty(), "coherent gain of empty window");
   double acc = 0.0;

@@ -12,9 +12,6 @@ enum class WindowKind { kRect, kHann, kHamming, kBlackman };
 /// Window coefficients of length n (periodic form, suited for FFT use).
 std::vector<double> make_window(WindowKind kind, std::size_t n);
 
-/// Multiplies `signal` element-wise by the window. Sizes must match.
-void apply_window(std::vector<double>& signal, const std::vector<double>& window);
-
 /// Coherent gain: mean of the window (used to renormalise magnitudes).
 double coherent_gain(const std::vector<double>& window);
 

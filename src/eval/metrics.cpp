@@ -7,16 +7,22 @@
 namespace gp {
 
 ConfusionMatrix::ConfusionMatrix(std::size_t num_classes)
-    : num_classes_(num_classes), counts_(num_classes * num_classes, 0) {
+    : num_classes_(num_classes),
+      counts_(num_classes * num_classes, 0),
+      unanswered_(num_classes, 0) {
   check_arg(num_classes >= 2, "confusion matrix needs >= 2 classes");
 }
 
 void ConfusionMatrix::add(int truth, int prediction) {
   check_arg(truth >= 0 && static_cast<std::size_t>(truth) < num_classes_, "truth out of range");
-  check_arg(prediction >= 0 && static_cast<std::size_t>(prediction) < num_classes_,
+  check_arg(prediction < 0 || static_cast<std::size_t>(prediction) < num_classes_,
             "prediction out of range");
-  ++counts_[static_cast<std::size_t>(truth) * num_classes_ + static_cast<std::size_t>(prediction)];
   ++total_;
+  if (prediction < 0) {
+    ++unanswered_[static_cast<std::size_t>(truth)];
+    return;
+  }
+  ++counts_[static_cast<std::size_t>(truth) * num_classes_ + static_cast<std::size_t>(prediction)];
 }
 
 std::size_t ConfusionMatrix::at(std::size_t truth, std::size_t prediction) const {
@@ -35,7 +41,7 @@ std::vector<double> ConfusionMatrix::per_class_f1() const {
   for (std::size_t c = 0; c < num_classes_; ++c) {
     const double tp = static_cast<double>(at(c, c));
     double fp = 0.0;
-    double fn = 0.0;
+    double fn = static_cast<double>(unanswered_[c]);
     for (std::size_t o = 0; o < num_classes_; ++o) {
       if (o == c) continue;
       fp += static_cast<double>(at(o, c));
@@ -52,7 +58,7 @@ double ConfusionMatrix::macro_f1() const {
   double acc = 0.0;
   std::size_t present = 0;
   for (std::size_t c = 0; c < num_classes_; ++c) {
-    std::size_t support = 0;
+    std::size_t support = unanswered_[c];
     for (std::size_t o = 0; o < num_classes_; ++o) support += at(c, o);
     if (support > 0) {
       acc += f1[c];
@@ -71,9 +77,11 @@ ConfusionMatrix build_confusion(const std::vector<int>& truth,
   return cm;
 }
 
-double macro_auc(const nn::Tensor& probabilities, const std::vector<int>& truth) {
-  check_arg(probabilities.rows() == truth.size(), "AUC size mismatch");
-  const std::size_t classes = probabilities.cols();
+double macro_auc(const std::vector<std::vector<double>>& probabilities,
+                 const std::vector<int>& truth) {
+  check_arg(probabilities.size() == truth.size(), "AUC size mismatch");
+  const std::size_t classes = probabilities.empty() ? 0 : probabilities.front().size();
+  for (const auto& row : probabilities) check_arg(row.size() == classes, "AUC ragged rows");
 
   double acc = 0.0;
   std::size_t counted = 0;
@@ -81,10 +89,10 @@ double macro_auc(const nn::Tensor& probabilities, const std::vector<int>& truth)
     // Rank-based AUC for class c vs rest.
     std::vector<std::pair<double, int>> scored;  // (score, is_positive)
     std::size_t positives = 0;
-    for (std::size_t i = 0; i < probabilities.rows(); ++i) {
+    for (std::size_t i = 0; i < probabilities.size(); ++i) {
       const bool pos = truth[i] == static_cast<int>(c);
       positives += pos ? 1 : 0;
-      scored.emplace_back(probabilities.at(i, c), pos ? 1 : 0);
+      scored.emplace_back(probabilities[i][c], pos ? 1 : 0);
     }
     const std::size_t negatives = scored.size() - positives;
     if (positives == 0 || negatives == 0) continue;

@@ -6,8 +6,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "nn/tensor.hpp"
-
 namespace gp {
 
 /// Row-major confusion matrix: entry (truth, prediction).
@@ -15,6 +13,9 @@ class ConfusionMatrix {
  public:
   explicit ConfusionMatrix(std::size_t num_classes);
 
+  /// A negative prediction is "no answer" (no model ran): it counts in the
+  /// total and in the true class's support — a false negative — and in no
+  /// cell.
   void add(int truth, int prediction);
   std::size_t at(std::size_t truth, std::size_t prediction) const;
   std::size_t num_classes() const { return num_classes_; }
@@ -29,6 +30,7 @@ class ConfusionMatrix {
  private:
   std::size_t num_classes_;
   std::vector<std::size_t> counts_;
+  std::vector<std::size_t> unanswered_;  ///< per true class
   std::size_t total_ = 0;
 };
 
@@ -36,8 +38,9 @@ ConfusionMatrix build_confusion(const std::vector<int>& truth,
                                 const std::vector<int>& predictions,
                                 std::size_t num_classes);
 
-/// Macro one-vs-rest ROC AUC from class probability rows (Mann–Whitney /
-/// rank formulation; ties counted half).
-double macro_auc(const nn::Tensor& probabilities, const std::vector<int>& truth);
+/// Macro one-vs-rest ROC AUC from class probability rows, one per sample,
+/// all the same width (Mann–Whitney / rank formulation; ties counted half).
+double macro_auc(const std::vector<std::vector<double>>& probabilities,
+                 const std::vector<int>& truth);
 
 }  // namespace gp

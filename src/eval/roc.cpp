@@ -74,13 +74,14 @@ RocCurve roc_from_scores(const std::vector<double>& genuine,
   return curve;
 }
 
-RocCurve roc_from_probabilities(const nn::Tensor& probabilities, const std::vector<int>& truth) {
-  check_arg(probabilities.rows() == truth.size(), "ROC probability size mismatch");
+RocCurve roc_from_probabilities(const std::vector<std::vector<double>>& probabilities,
+                                const std::vector<int>& truth) {
+  check_arg(probabilities.size() == truth.size(), "ROC probability size mismatch");
   std::vector<double> genuine;
   std::vector<double> impostor;
-  for (std::size_t i = 0; i < probabilities.rows(); ++i) {
-    for (std::size_t c = 0; c < probabilities.cols(); ++c) {
-      const double score = probabilities.at(i, c);
+  for (std::size_t i = 0; i < probabilities.size(); ++i) {
+    for (std::size_t c = 0; c < probabilities[i].size(); ++c) {
+      const double score = probabilities[i][c];
       if (static_cast<int>(c) == truth[i]) {
         genuine.push_back(score);
       } else {

@@ -5,8 +5,6 @@
 
 #include <vector>
 
-#include "nn/tensor.hpp"
-
 namespace gp {
 
 struct RocPoint {
@@ -28,8 +26,9 @@ struct RocCurve {
 RocCurve roc_from_scores(const std::vector<double>& genuine,
                          const std::vector<double>& impostor);
 
-/// Convenience: splits per-class probability rows into genuine/impostor
-/// scores and builds the curve.
-RocCurve roc_from_probabilities(const nn::Tensor& probabilities, const std::vector<int>& truth);
+/// Convenience: splits per-class probability rows (one per sample) into
+/// genuine/impostor scores and builds the curve.
+RocCurve roc_from_probabilities(const std::vector<std::vector<double>>& probabilities,
+                                const std::vector<int>& truth);
 
 }  // namespace gp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -372,22 +371,6 @@ void flip_bits(std::string& blob, std::size_t flips, std::uint64_t seed,
     const auto bit = static_cast<unsigned char>(1u << rng.index(8));
     blob[pos] = static_cast<char>(static_cast<unsigned char>(blob[pos]) ^ bit);
   }
-}
-
-bool corrupt_file(const std::string& path, std::size_t flips, std::uint64_t seed) {
-  std::string blob;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    blob = buf.str();
-  }
-  flip_bits(blob, flips, seed);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  return static_cast<bool>(out);
 }
 
 }  // namespace gp::faults

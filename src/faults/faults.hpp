@@ -239,8 +239,4 @@ class FaultyRadarSensor {
 void flip_bits(std::string& blob, std::size_t flips, std::uint64_t seed,
                std::size_t offset = 5);
 
-/// Reads the file, flips bits, writes it back. Returns false (leaving the
-/// file untouched) when the file cannot be read or rewritten.
-bool corrupt_file(const std::string& path, std::size_t flips, std::uint64_t seed);
-
 }  // namespace gp::faults

@@ -151,17 +151,4 @@ void predict_logits_into(const PointCloudClassifier& model,
   ctx.run_chunks(num_lanes, [&run_lane](std::size_t l) { run_lane(l); });
 }
 
-std::vector<int> argmax_labels(const nn::Tensor& logits) {
-  std::vector<int> out(logits.rows());
-  for (std::size_t i = 0; i < logits.rows(); ++i) {
-    const float* row = logits.row(i);
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < logits.cols(); ++j) {
-      if (row[j] > row[best]) best = j;
-    }
-    out[i] = static_cast<int>(best);
-  }
-  return out;
-}
-
 }  // namespace gp

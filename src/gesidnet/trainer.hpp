@@ -87,7 +87,4 @@ nn::Tensor predict_logits(const PointCloudClassifier& model,
                           std::size_t batch_size = 64,
                           exec::ExecContext& ctx = exec::ExecContext::global());
 
-/// Argmax labels from logits.
-std::vector<int> argmax_labels(const nn::Tensor& logits);
-
 }  // namespace gp

@@ -15,7 +15,6 @@ namespace gp::health {
 #define GP_SERVE_EVENTS(X)                                              \
   X(frames_admitted, "frames_admitted", "gp.serve.frames")              \
   X(frames_rejected, "frames_rejected", "gp.serve.rejected.queue_full") \
-  X(stale_sheds, "stale_sheds", "gp.serve.shed.stale")                  \
   X(fault_drops, "fault_drops", "gp.serve.fault_drops")                 \
   X(segments, "results", "gp.serve.segments")                           \
   X(abstained, "abstained", "gp.serve.abstained")                       \

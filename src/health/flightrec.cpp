@@ -6,11 +6,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <ostream>
 
-#include "common/error.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
@@ -51,7 +48,6 @@ void crash_handler(int sig) {
 const char* event_kind_name(EventKind kind) {
   switch (kind) {
     case EventKind::kAdmissionReject: return "admission_reject";
-    case EventKind::kStaleShed: return "stale_shed";
     case EventKind::kFaultDrop: return "fault_drop";
     case EventKind::kSegmentCompleted: return "segment_completed";
     case EventKind::kBatchFlush: return "batch_flush";
@@ -148,18 +144,6 @@ void stream_sink(void* ctx, const char* data, std::size_t len) {
 }  // namespace
 
 void FlightRecorder::dump_json(std::ostream& out) const { dump_with_sink(&stream_sink, &out); }
-
-std::string FlightRecorder::dump_to_file(const std::string& path) const {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw Error("flight recorder: cannot open '" + path + "' for writing");
-  dump_json(out);
-  return path;
-}
 
 void FlightRecorder::clear() {
   for (Slot& slot : slots_) slot.seq.store(0, std::memory_order_relaxed);

@@ -28,12 +28,11 @@ namespace gp::health {
 
 /// Event taxonomy (§10). `a`/`b`/`c` are kind-specific payload words,
 /// documented per kind below. The recorder logs *anomalies and transitions*
-/// — rejects, sheds, drops, completions, swaps, verdict flips — never the
+/// — rejects, drops, completions, swaps, verdict flips — never the
 /// per-frame happy path (a record per admitted frame would both flood the
 /// ring with noise and put ~60 ns on the admission hot path).
 enum class EventKind : std::uint64_t {
   kAdmissionReject = 0,  ///< a=session_id (queue full)
-  kStaleShed,           ///< a=shard, b=frames shed
   kFaultDrop,           ///< a=session_id (injector swallowed a frame)
   kSegmentCompleted,    ///< a=session_id, b=ordinal, c=request_id
   kBatchFlush,          ///< a=batch size, b=model version
@@ -81,8 +80,6 @@ class FlightRecorder {
   /// {"flight_recorder": {"capacity", "total", "events": [...]}} — parse it
   /// back with gp::obs::json.
   void dump_json(std::ostream& out) const;
-  /// dump_json to `path` (creates parent directories); returns the path.
-  std::string dump_to_file(const std::string& path) const;
 
   /// Allocation- and lock-free dump through a caller-supplied sink: the
   /// async-signal-safe core the crash handler uses (sink = write(2)).

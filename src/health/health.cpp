@@ -165,7 +165,7 @@ double WindowAgg::sli(SliMetric m, std::uint64_t batch_max) const {
     case SliMetric::kP95Ms: return quantile_us(0.95) / 1000.0;
     case SliMetric::kP99Ms: return quantile_us(0.99) / 1000.0;
     case SliMetric::kShedRate:
-      return rate(c.frames_rejected + c.stale_sheds, c.frames_admitted + c.frames_rejected);
+      return rate(c.frames_rejected, c.frames_admitted + c.frames_rejected);
     case SliMetric::kAbstainRate: return rate(c.abstained, c.segments);
     case SliMetric::kQualityRejectRate: return rate(c.quality_rejected, c.segments);
     case SliMetric::kNoModelRate: return rate(c.no_model, c.segments);

@@ -36,7 +36,7 @@ enum class SliMetric {
   kP50Ms = 0,
   kP95Ms,
   kP99Ms,
-  kShedRate,          ///< (queue-full rejects + stale sheds) / frames offered
+  kShedRate,          ///< queue-full rejects / frames offered
   kAbstainRate,       ///< abstained results / results
   kQualityRejectRate, ///< quality-rejected results / results
   kNoModelRate,       ///< no-model refusals / results

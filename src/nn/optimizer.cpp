@@ -4,35 +4,9 @@
 
 namespace gp::nn {
 
-void Optimizer::zero_grad() {
-  for (Parameter* p : params_) p->grad.zero();
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum, double weight_decay)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum), weight_decay_(weight_decay) {
-  velocity_.reserve(params_.size());
-  for (Parameter* p : params_) velocity_.emplace_back(p->value.rows(), p->value.cols());
-}
-
-void Sgd::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    Parameter& p = *params_[k];
-    Tensor& vel = velocity_[k];
-    for (std::size_t i = 0; i < p.value.numel(); ++i) {
-      double g = p.grad.vec()[i] + weight_decay_ * p.value.vec()[i];
-      if (momentum_ > 0.0) {
-        vel.vec()[i] = static_cast<float>(momentum_ * vel.vec()[i] + g);
-        g = vel.vec()[i];
-      }
-      p.value.vec()[i] -= static_cast<float>(lr_ * g);
-    }
-    p.grad.zero();
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, double lr, double beta1, double beta2, double eps,
            double weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

@@ -1,4 +1,4 @@
-// First-order optimisers over Parameter lists.
+// Adam, the first-order optimiser every trainer uses.
 #pragma once
 
 #include <vector>
@@ -7,42 +7,18 @@
 
 namespace gp::nn {
 
-/// Base optimiser: step() applies accumulated gradients, then clears them.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Parameter*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  virtual void step() = 0;
-  void zero_grad();
-
- protected:
-  std::vector<Parameter*> params_;
-};
-
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, double lr, double momentum = 0.0,
-      double weight_decay = 0.0);
-  void step() override;
-
- private:
-  double lr_;
-  double momentum_;
-  double weight_decay_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam : public Optimizer {
+/// step() applies the accumulated gradients, then clears them.
+class Adam {
  public:
   Adam(std::vector<Parameter*> params, double lr = 1e-3, double beta1 = 0.9,
        double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.0);
-  void step() override;
+  void step();
 
   void set_lr(double lr) { lr_ = lr; }
   double lr() const { return lr_; }
 
  private:
+  std::vector<Parameter*> params_;
   double lr_;
   double beta1_;
   double beta2_;

@@ -1,6 +1,7 @@
 #include "nn/serialize_nn.hpp"
 
-#include <fstream>
+#include <istream>
+#include <ostream>
 
 #include "common/serialize.hpp"
 
@@ -39,18 +40,6 @@ void load_parameters(std::istream& in, const std::vector<Parameter*>& params) {
       throw SerializationError("parameter payload size mismatch at " + p->name);
     }
   }
-}
-
-void save_parameters_file(const std::string& path, const std::vector<Parameter*>& params) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open model file for writing: " + path);
-  save_parameters(out, params);
-}
-
-void load_parameters_file(const std::string& path, const std::vector<Parameter*>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open model file for reading: " + path);
-  load_parameters(in, params);
 }
 
 }  // namespace gp::nn

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -16,9 +15,5 @@ void save_parameters(std::ostream& out, const std::vector<Parameter*>& params);
 /// Restores parameters in place. Throws SerializationError when names or
 /// shapes do not match the stream contents.
 void load_parameters(std::istream& in, const std::vector<Parameter*>& params);
-
-/// File-path convenience wrappers.
-void save_parameters_file(const std::string& path, const std::vector<Parameter*>& params);
-void load_parameters_file(const std::string& path, const std::vector<Parameter*>& params);
 
 }  // namespace gp::nn

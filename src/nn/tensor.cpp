@@ -1,7 +1,6 @@
 #include "nn/tensor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/mem.hpp"
@@ -44,12 +43,6 @@ double Tensor::sum() const {
   double acc = 0.0;
   for (float v : data_) acc += v;
   return acc;
-}
-
-double Tensor::abs_max() const {
-  double best = 0.0;
-  for (float v : data_) best = std::max(best, static_cast<double>(std::fabs(v)));
-  return best;
 }
 
 namespace {

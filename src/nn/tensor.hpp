@@ -52,9 +52,8 @@ class Tensor {
   Tensor& operator+=(const Tensor& other);
   Tensor& operator*=(float s);
 
-  /// Frobenius-style reductions for diagnostics.
+  /// Frobenius-style reduction for diagnostics.
   double sum() const;
-  double abs_max() const;
 
  private:
   std::size_t rows_ = 0;

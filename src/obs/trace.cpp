@@ -203,17 +203,6 @@ std::vector<TraceEvent> collect_trace_events() {
   return out;
 }
 
-std::size_t trace_event_count() {
-  BufferDirectory& dir = directory();
-  const std::lock_guard<std::mutex> lock(dir.mutex);
-  std::size_t total = 0;
-  for (const auto& buffer : dir.buffers) {
-    const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    total += buffer->events.size();
-  }
-  return total;
-}
-
 void clear_trace() {
   BufferDirectory& dir = directory();
   const std::lock_guard<std::mutex> lock(dir.mutex);

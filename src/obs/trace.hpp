@@ -150,9 +150,6 @@ struct TraceEvent {
 /// `trace_buffer_capacity()` events per thread.
 std::vector<TraceEvent> collect_trace_events();
 
-/// Number of currently buffered events across all threads.
-std::size_t trace_event_count();
-
 /// Drops all buffered events (tests / before a fresh measured region).
 void clear_trace();
 

@@ -31,7 +31,6 @@ ServeConfig ServeConfig::from_env(ServeConfig base) {
   base.batch_max = static_cast<std::size_t>(env_u64("GP_SERVE_BATCH_MAX", base.batch_max, 1));
   base.batch_wait_us = env_u64("GP_SERVE_BATCH_WAIT_US", base.batch_wait_us, 0);
   base.queue_cap = static_cast<std::size_t>(env_u64("GP_SERVE_QUEUE_CAP", base.queue_cap, 1));
-  base.stale_after_ticks = env_u64("GP_SERVE_STALE_TICKS", base.stale_after_ticks, 0);
   if (auto faults = faults::FaultConfig::from_env()) base.session_faults = *faults;
   base.health = health::HealthConfig::from_env(base.health);
   base.quant = nn::quant_mode_from_env(base.quant);

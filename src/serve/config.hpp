@@ -5,10 +5,9 @@
 // workers, feeding completed gesture segments into deadline-bounded
 // micro-batches that run through one fused batched GesIDNet forward pass.
 // Admission control (bounded per-shard ingress queues + typed load-shed
-// rejections + deadline-aware stale drops) keeps the server degrading
-// gracefully instead of queue-collapsing under overload, and a ModelRegistry
-// hot-swaps checksum-verified .gpsy models RCU-style without pausing the
-// stream.
+// rejections) keeps the server degrading gracefully instead of
+// queue-collapsing under overload, and a ModelRegistry hot-swaps
+// checksum-verified .gpsy models RCU-style without pausing the stream.
 //
 // Determinism contract: every per-session output is a pure function of that
 // session's delivered frame sequence and (serve seed, session id, segment
@@ -73,10 +72,6 @@ struct ServeConfig {
   /// Bounded per-shard ingress queue capacity in frames; a full queue sheds
   /// new frames with a typed rejection. GP_SERVE_QUEUE_CAP.
   std::size_t queue_cap = 256;
-  /// Deadline-aware stale-frame drop: frames that waited more than this
-  /// many engine ticks (pump cycles) in an ingress queue are shed at drain
-  /// time instead of being segmented late. 0 disables. GP_SERVE_STALE_TICKS.
-  std::uint64_t stale_after_ticks = 0;
   /// Base seed of the per-session featurization RNG tree:
   /// child_seed(child_seed(seed, session_id), ordinal) — pure, so results
   /// are shard- and thread-invariant.
@@ -106,9 +101,9 @@ struct ServeConfig {
   EnrollConfig enroll;
 
   /// Applies GP_SERVE_SHARDS / GP_SERVE_BATCH_MAX / GP_SERVE_BATCH_WAIT_US /
-  /// GP_SERVE_QUEUE_CAP / GP_SERVE_STALE_TICKS / GP_QUANT / GP_FAULTS plus
-  /// the GP_HEALTH* / GP_SLO / GP_FLIGHTREC health overrides on top of
-  /// `base` (the overload without arguments starts from the defaults).
+  /// GP_SERVE_QUEUE_CAP / GP_QUANT / GP_FAULTS plus the GP_HEALTH* / GP_SLO /
+  /// GP_FLIGHTREC health overrides on top of `base` (the overload without
+  /// arguments starts from the defaults).
   static ServeConfig from_env(ServeConfig base);
   static ServeConfig from_env();
 };

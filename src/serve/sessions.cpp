@@ -166,7 +166,6 @@ Admission SessionManager::enqueue(std::uint64_t session_id, const FrameView& fra
   }
   QueuedFrame qf;
   qf.session_id = session_id;
-  qf.tick = tick;
   if (health_on) qf.admit_ns = admit_clock_ns_.load(std::memory_order_relaxed);
   qf.frame.frame_index = frame.frame_index;
   qf.frame.timestamp = frame.timestamp;
@@ -193,16 +192,10 @@ void SessionManager::drain_shard(std::size_t s) {
   }
   const std::uint64_t drained_ns =
       monitor_ != nullptr && monitor_->enabled() ? monotonic_ns() : 0;
-  std::uint64_t shed = 0;
   std::uint64_t dropped = 0;
   {
     std::lock_guard<std::mutex> session_lock(shard.session_mu);
     for (const QueuedFrame& qf : shard.drain_queue) {
-      if (config_.stale_after_ticks > 0 && tick >= qf.tick &&
-          tick - qf.tick > config_.stale_after_ticks) {
-        ++shed;  // deadline-aware drop: too old to be worth segmenting late
-        continue;
-      }
       if (!session(shard, qf.session_id)
                .push_frame(qf.frame, tick, shard.out_scratch, qf.admit_ns, drained_ns)) {
         ++dropped;
@@ -210,12 +203,8 @@ void SessionManager::drain_shard(std::size_t s) {
     }
   }
   shard.drain_queue.clear();
-  if (shed > 0) {
-    health::FlightRecorder::global().record(health::EventKind::kStaleShed, tick, s, shed);
-  }
-  if (shed > 0 || dropped > 0) {
+  if (dropped > 0) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.counts.stale_sheds += shed;
     shard.counts.fault_drops += dropped;
   }
 }

@@ -160,9 +160,9 @@ class SessionManager {
   Admission enqueue(std::uint64_t session_id, const FrameView& frame, std::uint64_t tick);
 
   /// Drains every shard queue (parallel over shards on `ctx`), running
-  /// segmentation → preprocessing → featurization per session, applying the
-  /// deadline-aware stale-frame drop. Appends completed segments to `out`
-  /// in deterministic order (shard index, then completion order).
+  /// segmentation → preprocessing → featurization per session. Appends
+  /// completed segments to `out` in deterministic order (shard index, then
+  /// completion order).
   void drain_into(exec::ExecContext& ctx, std::uint64_t tick, std::vector<SegmentPtr>& out);
 
   /// Flushes every session's in-progress gesture, appending to `out`.
@@ -179,7 +179,7 @@ class SessionManager {
   void restore_session(std::uint64_t session_id, std::istream& in);
 
   /// Monotonic frame tallies summed over shards: admissions, queue-full
-  /// rejects, stale sheds and fault drops (the segment events stay 0).
+  /// rejects and fault drops (the segment events stay 0).
   using Stats = health::EventCounts;
   Stats stats() const;
 
@@ -191,7 +191,6 @@ class SessionManager {
  private:
   struct QueuedFrame {
     std::uint64_t session_id = 0;
-    std::uint64_t tick = 0;      ///< admission tick (staleness basis)
     std::uint64_t admit_ns = 0;  ///< admission timestamp (0 = monitor off)
     FrameView frame;             ///< points live in the shard's epoch arena
   };

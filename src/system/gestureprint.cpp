@@ -12,6 +12,7 @@
 #include "common/logging.hpp"
 #include "common/math_utils.hpp"
 #include "common/serialize.hpp"
+#include "eval/metrics.hpp"
 #include "faults/selfheal.hpp"
 #include "nn/loss.hpp"
 #include "nn/serialize_nn.hpp"
@@ -505,121 +506,65 @@ void decide_batch(GesturePrintSystem& system, std::span<const FeaturizedSample> 
 
 SystemEvaluation GesturePrintSystem::evaluate(const Dataset& dataset,
                                               std::span<const std::size_t> test_indices) {
-  std::vector<const GestureSample*> samples;
-  samples.reserve(test_indices.size());
-  for (std::size_t idx : test_indices) {
-    check_arg(idx < dataset.samples.size(), "test index out of range");
-    samples.push_back(&dataset.samples[idx]);
-  }
-  return evaluate_samples(samples);
-}
-
-SystemEvaluation GesturePrintSystem::evaluate_dataset(const Dataset& dataset) {
-  std::vector<const GestureSample*> samples;
-  samples.reserve(dataset.samples.size());
-  for (const auto& s : dataset.samples) samples.push_back(&s);
-  return evaluate_samples(samples);
-}
-
-SystemEvaluation GesturePrintSystem::evaluate_samples(
-    const std::vector<const GestureSample*>& samples) {
   GP_SPAN("system.evaluate");
   check(fitted(), "evaluate before fit");
-  check_arg(!samples.empty(), "evaluate with no samples");
+  check_arg(!test_indices.empty(), "evaluate with no samples");
+  for (const std::size_t idx : test_indices) {
+    check_arg(idx < dataset.samples.size(), "test index out of range");
+  }
 
   // Featurize `eval_rounds` stochastic resamplings per sample (test-time
-  // augmentation; no positional jitter) and average the posteriors.
+  // augmentation; one rng_ fork per round, samples in order), stored
+  // sample-major so each sample is one decide_batch segment.
+  const std::size_t n = test_indices.size();
   const std::size_t rounds = std::max<std::size_t>(1, config_.eval_rounds);
-  std::vector<std::vector<FeaturizedSample>> round_features(rounds);
-  std::vector<int> truth_gesture;
-  std::vector<int> truth_user;
-  for (const GestureSample* s : samples) {
-    truth_gesture.push_back(s->gesture);
-    truth_user.push_back(s->user);
-  }
+  std::vector<FeaturizedSample> rows(n * rounds);
   for (std::size_t r = 0; r < rounds; ++r) {
     Rng feat_rng = rng_.fork();
-    round_features[r].reserve(samples.size());
-    for (const GestureSample* s : samples) {
-      round_features[r].push_back(featurize(s->cloud, config_.prep.features, feat_rng));
+    for (std::size_t i = 0; i < n; ++i) {
+      rows[i * rounds + r] =
+          featurize(dataset.samples[test_indices[i]].cloud, config_.prep.features, feat_rng);
     }
+  }
+  // Closed set: margin 0 never abstains. A sample routed to a null user
+  // model keeps user -1 and no user posterior: a miss, as in serve.
+  const std::vector<std::size_t> counts(n, rounds);
+  decide_batch(*this, rows, counts, /*margin=*/0.0, classify_scratch_, classify_decisions_,
+               exec::ExecContext::global());
+
+  std::vector<int> truth_gesture(n);
+  std::vector<int> truth_user(n);
+  std::vector<int> gpred(n);
+  std::vector<int> upred(n);
+  std::vector<std::vector<double>> gprobs(n);
+  std::vector<std::vector<double>> uprobs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const GestureSample& sample = dataset.samples[test_indices[i]];
+    const InferenceResult& d = classify_decisions_[i];
+    truth_gesture[i] = sample.gesture;
+    truth_user[i] = sample.user;
+    gpred[i] = d.gesture;
+    upred[i] = d.user;
+    gprobs[i] = d.gesture_probabilities;
+    uprobs[i] = d.user_probabilities;
+    uprobs[i].resize(num_users_, 0.0);  // a miss scores every user 0
   }
 
   SystemEvaluation eval;
-
-  // ---- gesture recognition ----
-  nn::Tensor gprobs(samples.size(), num_gestures_);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const nn::Tensor probs = nn::softmax(predict_logits(*gesture_model_, round_features[r]));
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      for (std::size_t c = 0; c < num_gestures_; ++c) {
-        gprobs.at(i, c) += probs.at(i, c) / static_cast<float>(rounds);
-      }
-    }
-  }
-  const std::vector<int> gpred = argmax_labels(gprobs);
-  eval.gesture_confusion = build_confusion(truth_gesture, gpred, num_gestures_);
-  eval.gra = eval.gesture_confusion.accuracy();
-  eval.grf1 = eval.gesture_confusion.macro_f1();
+  const ConfusionMatrix gesture_confusion = build_confusion(truth_gesture, gpred, num_gestures_);
+  eval.gra = gesture_confusion.accuracy();
+  eval.grf1 = gesture_confusion.macro_f1();
   eval.grauc = macro_auc(gprobs, truth_gesture);
-
-  // ---- user identification ----
-  nn::Tensor uprobs(samples.size(), num_users_);
-
-  if (config_.mode == IdentificationMode::kParallel) {
-    for (std::size_t r = 0; r < rounds; ++r) {
-      const nn::Tensor probs =
-          nn::softmax(predict_logits(*user_models_.front(), round_features[r]));
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        for (std::size_t c = 0; c < num_users_; ++c) {
-          uprobs.at(i, c) += probs.at(i, c) / static_cast<float>(rounds);
-        }
-      }
-    }
-  } else {
-    // Serialized: route each test sample to the ID model its *predicted*
-    // gesture selects (the runtime behaviour).
-    for (std::size_t g = 0; g < num_gestures_; ++g) {
-      std::vector<std::size_t> routed;
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        if (gpred[i] == static_cast<int>(g)) routed.push_back(i);
-      }
-      if (routed.empty()) continue;
-      GesIDNet* model = user_models_[g] != nullptr
-                            ? user_models_[g].get()
-                            : nullptr;
-      if (model == nullptr) {
-        // Gesture had no training data: fall back to any available model.
-        for (auto& m : user_models_) {
-          if (m != nullptr) {
-            model = m.get();
-            break;
-          }
-        }
-      }
-      check(model != nullptr, "no user model available");
-
-      for (std::size_t r = 0; r < rounds; ++r) {
-        std::vector<FeaturizedSample> routed_features;
-        routed_features.reserve(routed.size());
-        for (std::size_t i : routed) routed_features.push_back(round_features[r][i]);
-        const nn::Tensor probs = nn::softmax(predict_logits(*model, routed_features));
-        for (std::size_t k = 0; k < routed.size(); ++k) {
-          for (std::size_t c = 0; c < num_users_; ++c) {
-            uprobs.at(routed[k], c) += probs.at(k, c) / static_cast<float>(rounds);
-          }
-        }
-      }
-    }
-  }
-  const std::vector<int> upred = argmax_labels(uprobs);
-
-  eval.user_confusion = build_confusion(truth_user, upred, num_users_);
-  eval.uia = eval.user_confusion.accuracy();
-  eval.uif1 = eval.user_confusion.macro_f1();
+  const ConfusionMatrix user_confusion = build_confusion(truth_user, upred, num_users_);
+  eval.uia = user_confusion.accuracy();
+  eval.uif1 = user_confusion.macro_f1();
   eval.uiauc = macro_auc(uprobs, truth_user);
   eval.user_roc = roc_from_probabilities(uprobs, truth_user);
   return eval;
+}
+
+SystemEvaluation GesturePrintSystem::evaluate_dataset(const Dataset& dataset) {
+  return evaluate(dataset, all_indices(dataset));
 }
 
 }  // namespace gp

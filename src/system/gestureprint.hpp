@@ -13,7 +13,6 @@
 
 #include "common/mem.hpp"
 #include "datasets/prep.hpp"
-#include "eval/metrics.hpp"
 #include "eval/roc.hpp"
 #include "gesidnet/gesidnet.hpp"
 #include "gesidnet/trainer.hpp"
@@ -80,8 +79,6 @@ struct SystemEvaluation {
   double uif1 = 0.0;
   double uiauc = 0.0;
   RocCurve user_roc;   ///< for Fig. 10 (EER via user_roc.eer())
-  ConfusionMatrix gesture_confusion{2};
-  ConfusionMatrix user_confusion{2};
 };
 
 /// Working set of decide_batch(), reused across calls (keeps capacity).
@@ -142,11 +139,15 @@ class GesturePrintSystem {
   /// gate, then `eval_rounds` featurizations through decide_batch().
   InferenceResult classify(const GestureCloud& cloud);
 
-  /// Batch evaluation over the selected test samples.
+  /// Batch evaluation over the selected test samples: `eval_rounds`
+  /// featurizations per sample, decided in one decide_batch() call. Closed
+  /// set (margin 0, whatever abstain_margin says); a sample routed to a
+  /// null user model is a user miss.
   SystemEvaluation evaluate(const Dataset& dataset, std::span<const std::size_t> test_indices);
 
-  /// Evaluation against a differently-generated dataset (cross-distance /
-  /// cross-environment studies). Label spaces must match the fit dataset.
+  /// evaluate() over every sample of a differently-generated dataset
+  /// (cross-distance / cross-environment studies). Label spaces must match
+  /// the fit dataset.
   SystemEvaluation evaluate_dataset(const Dataset& dataset);
 
   bool fitted() const { return gesture_model_ != nullptr; }
@@ -174,7 +175,6 @@ class GesturePrintSystem {
   void fuse_for_inference(nn::QuantMode mode = nn::QuantMode::kOff);
 
  private:
-  SystemEvaluation evaluate_samples(const std::vector<const GestureSample*>& samples);
   /// fine_tune tail: trains each user-ID model on its share of `indices`,
   /// one rng_ fork per trained model, in model order.
   void adapt_user_models(const Dataset& dataset, std::span<const std::size_t> indices,
@@ -187,17 +187,18 @@ class GesturePrintSystem {
   std::unique_ptr<GesIDNet> gesture_model_;
   /// Serialized mode: index = gesture id; parallel mode: single entry.
   std::vector<std::unique_ptr<GesIDNet>> user_models_;
-  /// classify()'s decide_batch working set and answer slot.
+  /// classify()'s and evaluate()'s decide_batch working set and answers.
   DecisionScratch classify_scratch_;
   mem::SlotVector<InferenceResult> classify_decisions_;
 };
 
-/// The runtime decision path (Fig. 4, §IV-C) of classify() (a batch of one)
-/// and the serve batcher. `rows` holds N segments' TTA variants back to
-/// back, `variant_counts[k]` ≥ 1 for segment k. One gesture forward, a
-/// double TTA average + margin gate per segment, routing (parallel → model
-/// 0, serialized → model `gesture`, none if null), one forward per routed
-/// user model in ascending index, the same gate on the user head. Each
+/// The runtime decision path (Fig. 4, §IV-C) of classify() (a batch of one),
+/// evaluate() (a batch of the test set, margin 0) and the serve batcher.
+/// `rows` holds N segments' TTA variants back to back, `variant_counts[k]`
+/// ≥ 1 for segment k. One gesture forward, a double TTA average + margin
+/// gate per segment, routing (parallel → model 0, serialized → model
+/// `gesture`, none if null), one forward per routed user model in
+/// ascending index, the same gate on the user head. Each
 /// forward shards its rows across the lanes of `ctx` (predict_logits_into).
 /// Answers depend neither on batch composition nor on the lane count. `out`
 /// gets N answers in recycled slots, so their probability buffers keep

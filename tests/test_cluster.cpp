@@ -574,8 +574,7 @@ TEST(ClusterServe, QueueFullAdmissionMatchesServer) {
   ASSERT_GE(frames.size(), n);
 
   serve::ServeConfig sc = cc.serve;
-  sc.batch_wait_us = 0;  // the worker's settings
-  sc.stale_after_ticks = 0;
+  sc.batch_wait_us = 0;  // the worker's setting
   serve::ModelRegistry registry(sc.system);
   ASSERT_TRUE(registry.publish_file(world().model_path, sc.quant).has_value());
   serve::Server server(sc, registry);

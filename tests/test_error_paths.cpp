@@ -314,7 +314,7 @@ TEST(RocErrors, EmptyCurveHasNoEer) {
 
 TEST(RocErrors, SingleClassProbabilitiesAreRejected) {
   // One user only: no impostor scores can exist, so the curve is undefined.
-  nn::Tensor probabilities(3, 1, 1.0f);
+  const std::vector<std::vector<double>> probabilities(3, {1.0});
   const std::vector<int> truth{0, 0, 0};
   EXPECT_THROW(roc_from_probabilities(probabilities, truth), InvalidArgument);
 }

@@ -48,34 +48,40 @@ TEST(Confusion, MacroF1IgnoresAbsentClasses) {
   EXPECT_DOUBLE_EQ(cm.macro_f1(), 1.0);
 }
 
+TEST(Confusion, NegativePredictionIsAMissInNoCell) {
+  // A null-routed sample (no model ran) is a miss for its true class: in
+  // the total and the class's support (a false negative), in no cell.
+  ConfusionMatrix cm(2);
+  cm.add(0, 0);
+  cm.add(1, 1);
+  cm.add(1, -1);
+  EXPECT_EQ(cm.total(), 3u);
+  EXPECT_EQ(cm.at(0, 0) + cm.at(0, 1) + cm.at(1, 0) + cm.at(1, 1), 2u);
+  EXPECT_DOUBLE_EQ(cm.accuracy(), 2.0 / 3.0);
+  EXPECT_NEAR(cm.per_class_f1()[1], 2.0 / 3.0, 1e-12);  // TP=1, FN=1
+  EXPECT_DOUBLE_EQ(cm.per_class_f1()[0], 1.0);          // no FP from the miss
+  EXPECT_THROW(cm.add(0, 2), InvalidArgument);
+}
+
 TEST(Auc, PerfectSeparationGivesOne) {
-  nn::Tensor probs(4, 2);
-  probs.at(0, 0) = 0.9f;
-  probs.at(0, 1) = 0.1f;
-  probs.at(1, 0) = 0.8f;
-  probs.at(1, 1) = 0.2f;
-  probs.at(2, 0) = 0.1f;
-  probs.at(2, 1) = 0.9f;
-  probs.at(3, 0) = 0.2f;
-  probs.at(3, 1) = 0.8f;
+  const std::vector<std::vector<double>> probs{{0.9, 0.1}, {0.8, 0.2}, {0.1, 0.9}, {0.2, 0.8}};
   EXPECT_NEAR(macro_auc(probs, {0, 0, 1, 1}), 1.0, 1e-12);
 }
 
 TEST(Auc, RandomScoresNearHalf) {
   Rng rng(1);
-  nn::Tensor probs(2000, 2);
+  std::vector<std::vector<double>> probs(2000);
   std::vector<int> truth(2000);
   for (std::size_t i = 0; i < 2000; ++i) {
-    const float p = static_cast<float>(rng.uniform());
-    probs.at(i, 0) = p;
-    probs.at(i, 1) = 1.0f - p;
+    const double p = rng.uniform();
+    probs[i] = {p, 1.0 - p};
     truth[i] = static_cast<int>(rng.index(2));
   }
   EXPECT_NEAR(macro_auc(probs, truth), 0.5, 0.05);
 }
 
 TEST(Auc, TiesHandledAsHalf) {
-  nn::Tensor probs(4, 2, 0.5f);  // all tied
+  const std::vector<std::vector<double>> probs(4, {0.5, 0.5});  // all tied
   EXPECT_NEAR(macro_auc(probs, {0, 0, 1, 1}), 0.5, 1e-12);
 }
 
@@ -137,13 +143,8 @@ TEST(Roc, EerBoundedByHalfForSeparatedScores) {
 }
 
 TEST(Roc, FromProbabilitiesSplitsGenuineImpostor) {
-  nn::Tensor probs(2, 3);
-  probs.at(0, 0) = 0.8f;   // genuine (truth 0)
-  probs.at(0, 1) = 0.15f;  // impostor
-  probs.at(0, 2) = 0.05f;
-  probs.at(1, 1) = 0.9f;   // genuine (truth 1)
-  probs.at(1, 0) = 0.05f;
-  probs.at(1, 2) = 0.05f;
+  // Genuine scores are truth 0's 0.8 and truth 1's 0.9, the rest impostors.
+  const std::vector<std::vector<double>> probs{{0.8, 0.15, 0.05}, {0.05, 0.9, 0.05}};
   const RocCurve curve = roc_from_probabilities(probs, {0, 1});
   EXPECT_NEAR(curve.eer(), 0.0, 1e-9);
 }

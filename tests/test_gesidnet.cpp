@@ -202,15 +202,6 @@ TEST(GesIDNet, SerializationRoundTripPreservesInference) {
   for (std::size_t i = 0; i < la.numel(); ++i) EXPECT_FLOAT_EQ(la.vec()[i], lb.vec()[i]);
 }
 
-TEST(Trainer, ArgmaxLabels) {
-  nn::Tensor logits(2, 3);
-  logits.at(0, 2) = 5.0f;
-  logits.at(1, 0) = 5.0f;
-  const auto labels = argmax_labels(logits);
-  EXPECT_EQ(labels[0], 2);
-  EXPECT_EQ(labels[1], 0);
-}
-
 TEST(Trainer, PredictLogitsAlignsWithSamples) {
   Rng rng(11);
   GesIDNet model(tiny_config(), rng);

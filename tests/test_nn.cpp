@@ -242,19 +242,6 @@ TEST(Loss, AccuracyCountsArgmaxMatches) {
   EXPECT_NEAR(accuracy(logits, {0, 1, 1}), 2.0 / 3.0, 1e-9);
 }
 
-TEST(Optimizer, SgdDescendsQuadratic) {
-  // Minimise f(w) = (w - 3)^2 via manual gradient feeding.
-  Parameter w;
-  w.value = Tensor(1, 1, 0.0f);
-  w.grad = Tensor(1, 1);
-  Sgd opt({&w}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    w.grad.at(0, 0) = 2.0f * (w.value.at(0, 0) - 3.0f);
-    opt.step();
-  }
-  EXPECT_NEAR(w.value.at(0, 0), 3.0f, 1e-3);
-}
-
 TEST(Optimizer, AdamDescendsIllConditionedQuadratic) {
   Parameter w;
   w.value = Tensor(1, 2);

@@ -1,5 +1,5 @@
-// Tests for point-cloud primitives: aggregation/bounds, kNN/ball query,
-// farthest point sampling, resampling, DBSCAN invariants, and the metric
+// Tests for point-cloud primitives: aggregation/bounds, farthest point
+// sampling, resampling, DBSCAN invariants, and the metric
 // axioms of HD / CD / JSD (the §III preliminary-study metrics).
 #include <gtest/gtest.h>
 
@@ -19,16 +19,6 @@ RadarPoint make_point(double x, double y, double z, int frame = 0) {
   p.position = Vec3(x, y, z);
   p.frame = frame;
   return p;
-}
-
-PointCloud grid_cloud(int n_per_axis, double spacing) {
-  PointCloud cloud;
-  for (int i = 0; i < n_per_axis; ++i) {
-    for (int j = 0; j < n_per_axis; ++j) {
-      cloud.push_back(make_point(i * spacing, j * spacing, 0.0));
-    }
-  }
-  return cloud;
 }
 
 PointCloud random_cloud(std::size_t n, Rng& rng, const Vec3& center = {}, double spread = 0.3) {
@@ -63,29 +53,6 @@ TEST(PointTypes, CentroidAndBounds) {
   EXPECT_DOUBLE_EQ(box.extent().y, 4.0);
 }
 
-TEST(Ops, KnnReturnsNearestInOrder) {
-  const PointCloud cloud{make_point(0, 0, 0), make_point(1, 0, 0), make_point(3, 0, 0)};
-  const auto idx = knn(cloud, Vec3(0.9, 0, 0), 2);
-  ASSERT_EQ(idx.size(), 2u);
-  EXPECT_EQ(idx[0], 1u);
-  EXPECT_EQ(idx[1], 0u);
-}
-
-TEST(Ops, KnnClampsK) {
-  const PointCloud cloud{make_point(0, 0, 0)};
-  EXPECT_EQ(knn(cloud, Vec3(), 10).size(), 1u);
-}
-
-TEST(Ops, BallQueryRespectsRadiusAndCap) {
-  const PointCloud cloud = grid_cloud(5, 1.0);
-  const auto all = ball_query(cloud, Vec3(2, 2, 0), 1.1);
-  EXPECT_EQ(all.size(), 5u);  // centre + 4-neighbourhood
-  const auto capped = ball_query(cloud, Vec3(2, 2, 0), 1.1, 3);
-  EXPECT_EQ(capped.size(), 3u);
-  // Nearest-first: the centre point itself leads.
-  EXPECT_EQ(capped[0], 12u);
-}
-
 TEST(Ops, FpsSelectsSpreadOutPoints) {
   // Two far-apart blobs: FPS with n=2 must pick one point from each.
   Rng rng(5);
@@ -93,7 +60,9 @@ TEST(Ops, FpsSelectsSpreadOutPoints) {
   const PointCloud far_blob = random_cloud(20, rng, Vec3(10, 0, 0), 0.05);
   cloud.insert(cloud.end(), far_blob.begin(), far_blob.end());
 
-  const auto idx = farthest_point_sample(cloud, 2, 0);
+  ResampleScratch scratch;
+  farthest_point_sample_into(cloud, 2, 0, scratch);
+  const auto& idx = scratch.selected;
   ASSERT_EQ(idx.size(), 2u);
   const double gap = (cloud[idx[0]].position - cloud[idx[1]].position).norm();
   EXPECT_GT(gap, 8.0);
@@ -102,24 +71,20 @@ TEST(Ops, FpsSelectsSpreadOutPoints) {
 TEST(Ops, FpsReturnsAllWhenAskingTooMany) {
   Rng rng(6);
   const PointCloud cloud = random_cloud(5, rng);
-  EXPECT_EQ(farthest_point_sample(cloud, 10).size(), 5u);
+  ResampleScratch scratch;
+  farthest_point_sample_into(cloud, 10, 0, scratch);
+  EXPECT_EQ(scratch.selected.size(), 5u);
 }
 
 TEST(Ops, ResampleHitsExactCount) {
   Rng rng(7);
   const PointCloud cloud = random_cloud(50, rng);
-  EXPECT_EQ(resample(cloud, 16, rng).size(), 16u);
-  EXPECT_EQ(resample(cloud, 128, rng).size(), 128u);  // upsampling duplicates
-}
-
-TEST(Ops, NormalizeCentroidCentresCloud) {
-  Rng rng(8);
-  const PointCloud cloud = random_cloud(40, rng, Vec3(3, -2, 5));
-  const PointCloud centred = normalize_centroid(cloud);
-  const Vec3 c = centroid(centred);
-  EXPECT_NEAR(c.x, 0.0, 1e-9);
-  EXPECT_NEAR(c.y, 0.0, 1e-9);
-  EXPECT_NEAR(c.z, 0.0, 1e-9);
+  ResampleScratch scratch;
+  PointCloud out;
+  resample_into(cloud, 16, rng, scratch, out);
+  EXPECT_EQ(out.size(), 16u);
+  resample_into(cloud, 128, rng, scratch, out);
+  EXPECT_EQ(out.size(), 128u);  // upsampling duplicates
 }
 
 TEST(Dbscan, SeparatesTwoBlobsAndFlagsOutliers) {

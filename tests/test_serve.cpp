@@ -1,9 +1,9 @@
 // gp::serve tests (DESIGN.md §8): per-session determinism across thread and
 // shard counts, micro-batch composition independence, typed overload
-// shedding with bounded queues, deadline stale drops, RCU hot-swap audit,
-// fused-vs-unfused inference equivalence, a GP_FAULTS-style soak with zero
-// uncaught exceptions, the event tally agreeing across its three views, and
-// the shared decision path (decide_batch) deciding a batch of many exactly as
+// shedding with bounded queues, RCU hot-swap audit, fused-vs-unfused
+// inference equivalence, a GP_FAULTS-style soak with zero uncaught
+// exceptions, the event tally agreeing across its three views, and the
+// shared decision path (decide_batch) deciding a batch of many exactly as
 // batches of one.
 #include <gtest/gtest.h>
 
@@ -191,25 +191,6 @@ TEST(Serve, OverloadShedsTypedAndBounded) {
   EXPECT_EQ(stats.frames_admitted, accepted);
   EXPECT_EQ(stats.frames_rejected, rejected);
   EXPECT_NO_THROW((void)server.drain());  // shedding degraded, nothing died
-}
-
-// Frames that waited longer than stale_after_ticks are shed at drain time.
-TEST(Serve, StaleFramesShedAtDrain) {
-  serve::ServeConfig sc = base_config(1);
-  sc.stale_after_ticks = 1;
-  serve::SessionManager sessions(sc);
-  exec::ExecContext ctx(1);
-
-  const FrameSequence& frames = world().streams[0].frames;
-  const std::size_t pushed = std::min<std::size_t>(8, frames.size());
-  for (std::size_t f = 0; f < pushed; ++f) {
-    ASSERT_EQ(sessions.enqueue(1, frames[f], /*tick=*/0), serve::Admission::kAccepted);
-  }
-  std::vector<serve::SegmentPtr> segments;
-  sessions.drain_into(ctx, /*tick=*/5, segments);  // all 8 are > 1 tick old
-  EXPECT_TRUE(segments.empty());
-  EXPECT_EQ(sessions.stats().stale_sheds, pushed);
-  EXPECT_EQ(sessions.queue_depth(0), 0u);
 }
 
 // Mid-stream publish: versions in the result stream are monotonic, the swap
@@ -615,7 +596,6 @@ TallyRun run_every_event(bool health_on) {
   serve::ModelRegistry registry(world().config);  // published mid-run
   serve::ServeConfig sc = base_config(1);
   sc.queue_cap = 4;
-  sc.stale_after_ticks = 1;
   sc.session_faults = faults::FaultConfig::mixed(0.3);
   // A point guard strict enough that some segments of these streams fail it.
   sc.preprocess.min_points = 200;
@@ -672,12 +652,7 @@ TEST(Serve, EventTallyViewsAgree) {
   for (std::size_t i = 0; i < health::kEventCount; ++i) {
     const health::EventInfo& e = health::kEvents[i];
     const std::uint64_t total = on.totals.*e.member;
-    // A stale shed needs a frame to outlive a whole pump, which a single
-    // pump thread never allows (every tick drains every shard); stale
-    // counting is pinned at the SessionManager level (StaleFramesShedAtDrain).
-    if (e.member != &health::EventCounts::stale_sheds) {
-      EXPECT_GT(total, 0u) << e.name << " never happened";
-    }
+    EXPECT_GT(total, 0u) << e.name << " never happened";
     EXPECT_EQ(on.window.*e.member, total) << e.name;
     EXPECT_EQ(on.counters[i], total) << e.name << " (" << e.counter << ")";
   }

@@ -111,6 +111,45 @@ TEST(System, CrossDatasetEvaluationRuns) {
   EXPECT_GT(eval.gra, 0.5);
 }
 
+// evaluate() is closed-set: the configured abstention margin must not reach
+// it. One saved system, loaded with margin 0 and 0.9, evaluates identically.
+TEST(System, EvaluateIgnoresTheAbstentionMargin) {
+  const Dataset dataset = small_dataset();
+  const Split split = split_by_pair(dataset);
+  const std::string path = testing::TempDir() + "gp_system_closed_set.gpsy";
+  GesturePrintSystem trained(quick_config());
+  trained.fit(dataset, split.train);
+  trained.save(path);
+
+  SystemEvaluation evals[2];
+  for (int k = 0; k < 2; ++k) {
+    GesturePrintConfig config = quick_config();
+    config.abstain_margin = k == 0 ? 0.0 : 0.9;
+    GesturePrintSystem system(config);
+    system.load(path);
+    evals[k] = system.evaluate(dataset, split.test);
+    if (k == 1) {  // the 0.9 gate does fire on this model
+      bool abstained = false;
+      for (std::size_t idx : split.test) {
+        abstained |= system.classify(dataset.samples[idx].cloud).abstained;
+      }
+      EXPECT_TRUE(abstained);
+    }
+  }
+  EXPECT_EQ(evals[0].gra, evals[1].gra);
+  EXPECT_EQ(evals[0].grf1, evals[1].grf1);
+  EXPECT_EQ(evals[0].grauc, evals[1].grauc);
+  EXPECT_EQ(evals[0].uia, evals[1].uia);
+  EXPECT_EQ(evals[0].uif1, evals[1].uif1);
+  EXPECT_EQ(evals[0].uiauc, evals[1].uiauc);
+  ASSERT_EQ(evals[0].user_roc.points.size(), evals[1].user_roc.points.size());
+  for (std::size_t i = 0; i < evals[0].user_roc.points.size(); ++i) {
+    EXPECT_EQ(evals[0].user_roc.points[i].threshold, evals[1].user_roc.points[i].threshold);
+    EXPECT_EQ(evals[0].user_roc.points[i].fpr, evals[1].user_roc.points[i].fpr);
+    EXPECT_EQ(evals[0].user_roc.points[i].tpr, evals[1].user_roc.points[i].tpr);
+  }
+}
+
 TEST(MultiPerson, MergeScenesCombinesReflectors) {
   SceneSequence a(3);
   SceneSequence b(2);

@@ -4,8 +4,7 @@
 // against the retained naive references (src/nn/gemm_ref.hpp) across the
 // layer shapes the GesIDNet forward/backward actually runs, plus one int8
 // fused-layer row (FusedLinear kInt8 vs the f32 fused kernel). Every f32
-// row re-runs the differential check inline — matmul/matmul_at bitwise,
-// matmul_bt band-checked (see gemm_ref.hpp for why) — so a speedup number
+// row re-runs the bitwise differential check inline, so a speedup number
 // can never be reported for a kernel that drifted.
 //
 // Emits <output_dir>/BENCH_gemm.json (metrics `<kernel>.<m>x<k>x<n>.*`) and
@@ -18,7 +17,6 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -68,21 +66,6 @@ bool bitwise_equal(const nn::Tensor& a, const nn::Tensor& b) {
          std::memcmp(a.vec().data(), b.vec().data(), a.vec().size() * sizeof(float)) == 0;
 }
 
-/// Band check for matmul_bt: per element within a few ulps of the reference
-/// (the contraction-mix tolerance documented in gemm_ref.hpp).
-bool band_equal(const nn::Tensor& a, const nn::Tensor& b, std::size_t k_terms) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  const double tol_scale = 8.0 * static_cast<double>(k_terms) *
-                           static_cast<double>(std::numeric_limits<float>::epsilon());
-  for (std::size_t i = 0; i < a.vec().size(); ++i) {
-    const double x = a.vec()[i];
-    const double y = b.vec()[i];
-    const double mag = std::max({std::fabs(x), std::fabs(y), 1.0});
-    if (std::fabs(x - y) > tol_scale * mag) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -117,10 +100,9 @@ int main() {
   };
 
   for (const Shape& s : shapes) {
-    nn::Tensor a(s.m, s.k), b(s.k, s.n), bt(s.n, s.k), at(s.k, s.m);
+    nn::Tensor a(s.m, s.k), b(s.k, s.n), at(s.k, s.m);
     fill(a, rng, 0.45);
     fill(b, rng, 0.0);
-    fill(bt, rng, 0.0);
     fill(at, rng, 0.45);
     const double flops = 2.0 * static_cast<double>(s.m) * static_cast<double>(s.k) *
                          static_cast<double>(s.n);
@@ -130,39 +112,34 @@ int main() {
       const char* name;
       std::function<void(nn::Tensor&)> ref;
       std::function<void(nn::Tensor&)> opt;
-      bool bitwise;
     };
     const std::vector<Variant> variants{
         {"matmul", [&](nn::Tensor& o) { nn::matmul_ref(a, b, o); },
-         [&](nn::Tensor& o) { nn::matmul(a, b, o, ctx); }, true},
-        {"matmul_bt", [&](nn::Tensor& o) { nn::matmul_bt_ref(a, bt, o); },
-         [&](nn::Tensor& o) { nn::matmul_bt(a, bt, o, ctx); }, false},
+         [&](nn::Tensor& o) { nn::matmul(a, b, o, ctx); }},
         {"matmul_at", [&](nn::Tensor& o) { nn::matmul_at_ref(at, b, o); },
-         [&](nn::Tensor& o) { nn::matmul_at(at, b, o, ctx); }, true},
+         [&](nn::Tensor& o) { nn::matmul_at(at, b, o, ctx); }},
     };
     for (const Variant& v : variants) {
       nn::Tensor ref_out, opt_out;
       v.ref(ref_out);
       v.opt(opt_out);
-      const bool ok = v.bitwise ? bitwise_equal(ref_out, opt_out)
-                                : band_equal(ref_out, opt_out, s.k);
+      const bool ok = bitwise_equal(ref_out, opt_out);
       if (!ok) {
         std::cout << "FAIL: " << v.name << " m=" << s.m << " k=" << s.k << " n=" << s.n
                   << " diverged from the naive reference\n";
         checks_ok = false;
       }
       const std::string prefix = std::string(v.name) + "." + s.name();
-      const char* check = v.bitwise ? "bitwise" : "band";
       const double ref_ms = time_ms([&] { v.ref(ref_out); }, reps);
       const double opt_ms = time_ms([&] { v.opt(opt_out); }, reps);
       const double speedup = add_row(prefix, flops, ref_ms, opt_ms);
-      doc.add(prefix + "." + check + "_ok", "bool", ok ? 1.0 : 0.0);
+      doc.add(prefix + ".bitwise_ok", "bool", ok ? 1.0 : 0.0);
       if (speedup > 0.0) {
         log_sum += std::log(speedup);
         ++counted;
       }
       std::cout << "  " << prefix << ": ref " << ref_ms << " ms, opt " << opt_ms << " ms ("
-                << speedup << "x, " << check << ")\n";
+                << speedup << "x)\n";
     }
   }
 

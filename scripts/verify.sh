@@ -32,8 +32,9 @@ run_asan() {
   cmake --build "$ROOT/build-asan" -j "$JOBS"
   # mem rides the asan lane: the counting operator new/delete and the arena
   # reuse paths must stay clean under ASan's allocator interposition.
-  # gemm + quant ride it too: the register-tiled edge handling and the
-  # int8 panel/scratch indexing are exactly where an out-of-tile read hides.
+  # gemm + quant ride it too: the register-tiled edge handling, the
+  # ball query's prefix and padding indexing and the int8 panel/scratch
+  # indexing are exactly where an out-of-bounds read hides.
   # cluster rides asan (not tsan): the wire decoders chew corrupted bytes and
   # the failover path replays serialized session state — both are
   # memory-safety surfaces — while the fork()ed single-threaded workers give

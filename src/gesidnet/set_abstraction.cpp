@@ -49,6 +49,78 @@ void fps_rows(const nn::Tensor& positions, std::size_t start_row, std::size_t n,
 
 }  // namespace
 
+void ball_query(const nn::Tensor& positions, std::size_t num_points,
+                std::span<const std::size_t> centroid_rows, std::span<const ScaleSpec> scales,
+                std::vector<std::size_t>& members, nn::Workspace& ws) {
+  const nn::Workspace::Frame frame(ws);
+  auto& hits = ws.take<std::vector<std::pair<double, std::size_t>>>();
+  double widest_r2 = 0.0;
+  std::size_t most = 0;
+  std::size_t total = 0;
+  for (const ScaleSpec& scale : scales) {
+    widest_r2 = std::max(widest_r2, scale.radius * scale.radius);
+    most = std::max(most, scale.group_size);
+    total += scale.group_size;
+  }
+  check_arg(most > 0, "ball_query needs a scale with a positive group size");
+  const std::size_t groups = centroid_rows.size();
+  members.resize(groups * total);
+  hits.resize(most);
+
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t centroid_row = centroid_rows[g];
+    const float* cp = positions.row(centroid_row);
+    const std::size_t base = centroid_row / num_points * num_points;
+    // hits[0, kept): the nearest in-range points so far, in (d², row)
+    // order. Rows arrive ascending, so a new point goes after every kept
+    // point at its own d².
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < num_points; ++i) {
+      const float* pp = positions.row(base + i);
+      const double dx = pp[0] - cp[0];
+      const double dy = pp[1] - cp[1];
+      const double dz = pp[2] - cp[2];
+      const double d2 = dx * dx + dy * dy + dz * dz;
+      if (!(d2 <= widest_r2) || (kept == most && !(d2 < hits[most - 1].first))) continue;
+      std::size_t pos = kept < most ? kept++ : most - 1;
+      for (; pos > 0 && d2 < hits[pos - 1].first; --pos) hits[pos] = hits[pos - 1];
+      hits[pos] = {d2, base + i};
+    }
+
+    std::size_t offset = 0;
+    for (const ScaleSpec& scale : scales) {
+      const std::size_t m = scale.group_size;
+      const double r2 = scale.radius * scale.radius;
+      std::size_t k = 0;
+      while (k < std::min(m, kept) && hits[k].first <= r2) ++k;
+      std::size_t* dst = members.data() + offset + g * m;
+      for (std::size_t j = 0; j < m; ++j) {
+        dst[j] = k == 0 ? centroid_row : hits[j % k].second;  // cyclic padding
+      }
+      offset += groups * m;
+    }
+  }
+}
+
+void group_rows(const BatchedCloud& in, std::span<const std::size_t> centroid_rows,
+                const std::size_t* member, std::size_t m, nn::Tensor& rows) {
+  const std::size_t channels = in.channels();
+  rows.resize(centroid_rows.size() * m, 3 + channels);
+  for (std::size_t g = 0; g < centroid_rows.size(); ++g) {
+    const float* cp = in.positions.row(centroid_rows[g]);
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t src = member[g * m + j];
+      float* dst = rows.row(g * m + j);
+      const float* pp = in.positions.row(src);
+      dst[0] = pp[0] - cp[0];
+      dst[1] = pp[1] - cp[1];
+      dst[2] = pp[2] - cp[2];
+      const float* pf = in.features.row(src);
+      for (std::size_t c = 0; c < channels; ++c) dst[3 + c] = pf[c];
+    }
+  }
+}
+
 SetAbstraction::SetAbstraction(std::size_t num_centroids, std::size_t in_channels,
                                std::vector<ScaleSpec> scales, Rng& rng, const std::string& name)
     : num_centroids_(num_centroids), in_channels_(in_channels), scales_(std::move(scales)) {
@@ -63,12 +135,13 @@ SetAbstraction::SetAbstraction(std::size_t num_centroids, std::size_t in_channel
     scale_out_channels_.push_back(scale.mlp.back());
     out_channels_ += scale.mlp.back();
   }
-  caches_.resize(scales_.size());
+  argmax_.resize(scales_.size());
 }
 
 template <typename RunMlp>
 void SetAbstraction::abstract(const BatchedCloud& in, BatchedCloud& out, nn::Workspace& ws,
-                              ScaleCache* caches, RunMlp&& run_mlp) const {
+                              std::vector<std::size_t>* members,
+                              std::vector<std::size_t>* argmax, RunMlp&& run_mlp) const {
   check_arg(in.channels() == in_channels_, "set abstraction channel mismatch");
   check_arg(in.num_points > 0 && in.batch > 0, "empty batch");
   const nn::Workspace::Frame frame(ws);
@@ -97,64 +170,27 @@ void SetAbstraction::abstract(const BatchedCloud& in, BatchedCloud& out, nn::Wor
     }
   }
 
-  auto& hits = ws.take<std::vector<std::pair<double, std::size_t>>>();
+  std::vector<std::size_t>& member =
+      members != nullptr ? *members : ws.take<std::vector<std::size_t>>();
+  ball_query(in.positions, in.num_points, centroid_rows, scales_, member, ws);
+
   nn::Tensor& rows = ws.take<nn::Tensor>();
   nn::Tensor& activated = ws.take<nn::Tensor>();
   std::size_t channel_offset = 0;
+  std::size_t member_offset = 0;
   for (std::size_t s = 0; s < scales_.size(); ++s) {
-    const ScaleSpec& scale = scales_[s];
-    const std::size_t m = scale.group_size;
-    std::size_t* member = nullptr;
-    if (caches != nullptr) {
-      caches[s].rows = groups * m;
-      caches[s].member.resize(groups * m);
-      member = caches[s].member.data();
-    }
-
-    // Build grouped rows: [local_xyz | features].
-    rows.resize(groups * m, 3 + in_channels_);
-    const double r2 = scale.radius * scale.radius;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t b = g / num_centroids_;
-      const std::size_t centroid_row = centroid_rows[g];
-      const float* cp = in.positions.row(centroid_row);
-
-      // Ball query within this sample (nearest-first up to m).
-      hits.clear();
-      const std::size_t base = b * in.num_points;
-      for (std::size_t i = 0; i < in.num_points; ++i) {
-        const float* pp = in.positions.row(base + i);
-        const double dx = pp[0] - cp[0];
-        const double dy = pp[1] - cp[1];
-        const double dz = pp[2] - cp[2];
-        const double d2 = dx * dx + dy * dy + dz * dz;
-        if (d2 <= r2) hits.emplace_back(d2, base + i);
-      }
-      if (hits.empty()) hits.emplace_back(0.0, centroid_row);  // degenerate: centroid only
-      std::sort(hits.begin(), hits.end());
-      if (hits.size() > m) hits.resize(m);
-
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t src = hits[j % hits.size()].second;  // cyclic padding
-        if (member != nullptr) member[g * m + j] = src;
-        float* dst = rows.row(g * m + j);
-        const float* pp = in.positions.row(src);
-        dst[0] = pp[0] - cp[0];
-        dst[1] = pp[1] - cp[1];
-        dst[2] = pp[2] - cp[2];
-        const float* pf = in.features.row(src);
-        for (std::size_t c = 0; c < in_channels_; ++c) dst[3 + c] = pf[c];
-      }
-    }
+    const std::size_t m = scales_[s].group_size;
+    group_rows(in, centroid_rows, member.data() + member_offset, m, rows);
+    member_offset += groups * m;
 
     // Shared MLP + per-group channel-wise max pool.
     run_mlp(s, rows, activated);
-    std::size_t* argmax = nullptr;
-    if (caches != nullptr) {
-      caches[s].argmax.resize(groups * scale_out_channels_[s]);
-      argmax = caches[s].argmax.data();
+    std::size_t* winners = nullptr;
+    if (argmax != nullptr) {
+      argmax[s].resize(groups * scale_out_channels_[s]);
+      winners = argmax[s].data();
     }
-    nn::max_pool_rows(activated, groups, m, out.features, channel_offset, argmax);
+    nn::max_pool_rows(activated, groups, m, out.features, channel_offset, winners);
     channel_offset += scale_out_channels_[s];
   }
 }
@@ -163,7 +199,7 @@ BatchedCloud SetAbstraction::forward(const BatchedCloud& in, bool training) {
   batch_ = in.batch;
   in_rows_ = in.batch * in.num_points;
   BatchedCloud out;
-  abstract(in, out, train_ws_, caches_.data(),
+  abstract(in, out, train_ws_, &members_, argmax_.data(),
            [&](std::size_t s, const nn::Tensor& rows, nn::Tensor& activated) {
              activated = mlps_[s]->forward(rows, training);
            });
@@ -172,7 +208,7 @@ BatchedCloud SetAbstraction::forward(const BatchedCloud& in, bool training) {
 
 void SetAbstraction::infer(const BatchedCloud& in, BatchedCloud& out,
                            nn::Workspace& ws) const {
-  abstract(in, out, ws, nullptr,
+  abstract(in, out, ws, nullptr, nullptr,
            [&](std::size_t s, const nn::Tensor& rows, nn::Tensor& activated) {
              mlps_[s]->infer(rows, activated, ws);
            });
@@ -185,27 +221,28 @@ nn::Tensor SetAbstraction::backward(const nn::Tensor& grad_out_features) {
 
   nn::Tensor grad_in(in_rows_, in_channels_);
   std::size_t channel_offset = 0;
+  const std::size_t* member = members_.data();
   for (std::size_t s = 0; s < scales_.size(); ++s) {
-    const ScaleCache& cache = caches_[s];
     const std::size_t cs = scale_out_channels_[s];
+    const std::size_t rows = groups * scales_[s].group_size;
 
     // Un-pool: route each output channel's gradient to its argmax row.
-    nn::Tensor rows_grad(cache.rows, cs);
+    nn::Tensor rows_grad(rows, cs);
     for (std::size_t g = 0; g < groups; ++g) {
       const float* src = grad_out_features.row(g);
       for (std::size_t c = 0; c < cs; ++c) {
-        rows_grad.at(cache.argmax[g * cs + c], c) += src[channel_offset + c];
+        rows_grad.at(argmax_[s][g * cs + c], c) += src[channel_offset + c];
       }
     }
 
     // Through the shared MLP, then scatter the feature part into the input.
     const nn::Tensor rows_in_grad = mlps_[s]->backward(rows_grad);
-    for (std::size_t r = 0; r < cache.rows; ++r) {
-      const std::size_t src_row = cache.member[r];
+    for (std::size_t r = 0; r < rows; ++r) {
       const float* g = rows_in_grad.row(r);
-      float* dst = grad_in.row(src_row);
+      float* dst = grad_in.row(member[r]);
       for (std::size_t c = 0; c < in_channels_; ++c) dst[c] += g[3 + c];
     }
+    member += rows;
     channel_offset += cs;
   }
   return grad_in;

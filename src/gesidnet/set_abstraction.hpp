@@ -5,6 +5,7 @@
 // over [local_xyz, point_features] rows, and max-pool per group. Per-scale
 // outputs are concatenated ("multi-scale grouping"), matching the paper's
 // description of combining local features f_i of different scales into f_s.
+// All scales of a block share one ball query per centroid (ball_query).
 //
 // Backward is exact: max-pool routes gradients to argmax rows, the MLP
 // backpropagates them, and the feature part scatter-adds into the input
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,25 @@ struct ScaleSpec {
   std::size_t group_size = 8;     ///< m_i: points per group (padded cyclically)
   std::vector<std::size_t> mlp;   ///< hidden widths of the shared MLP
 };
+
+/// The ball query of one set-abstraction level, shared by all its scales.
+/// For each centroid row it scans the centroid's sample (the `num_points`
+/// rows holding it) once at the widest radius and keeps the nearest
+/// max(m_s) hits in (d², row) order. Scale s reads the prefix of those hits
+/// inside its own radius, cut to m_s and padded cyclically; the centroid
+/// alone stands in when the prefix is empty. (d², row) is a total order, so
+/// each prefix is exactly what a per-scale query with a full sort returns
+/// (gesidnet/ball_query_ref.hpp). `members` receives the input rows
+/// scale-major: scale s holds centroid_rows.size()·m_s entries, m_s per
+/// centroid, after those of the scales before it.
+void ball_query(const nn::Tensor& positions, std::size_t num_points,
+                std::span<const std::size_t> centroid_rows, std::span<const ScaleSpec> scales,
+                std::vector<std::size_t>& members, nn::Workspace& ws);
+
+/// Grouped MLP input: rows(g·m + j) = [xyz(r) − xyz(centroid_rows[g]) |
+/// features(r)] with r = member[g·m + j].
+void group_rows(const BatchedCloud& in, std::span<const std::size_t> centroid_rows,
+                const std::size_t* member, std::size_t m, nn::Tensor& rows);
 
 class SetAbstraction {
  public:
@@ -63,19 +84,14 @@ class SetAbstraction {
   }
 
  private:
-  // Forward caches (per scale).
-  struct ScaleCache {
-    std::vector<std::size_t> member;   ///< (B*n*m) input row index per slot
-    std::vector<std::size_t> argmax;   ///< (B*n*C_scale) winning slot row
-    std::size_t rows = 0;
-  };
-
-  /// FPS → per-scale ball query + grouping → `run_mlp(s, rows, activated)`
-  /// → max pool: the one pass behind forward() and infer(). `caches`
-  /// (training only, one per scale) receives member and argmax tables.
+  /// FPS → one shared ball query → per scale: grouping →
+  /// `run_mlp(s, rows, activated)` → max pool: the one pass behind forward()
+  /// and infer(). Training passes `members` and `argmax` (one table per
+  /// scale) to keep what backward() reads; inference passes nullptr.
   template <typename RunMlp>
   void abstract(const BatchedCloud& in, BatchedCloud& out, nn::Workspace& ws,
-                ScaleCache* caches, RunMlp&& run_mlp) const;
+                std::vector<std::size_t>* members, std::vector<std::size_t>* argmax,
+                RunMlp&& run_mlp) const;
 
   std::size_t num_centroids_;
   std::size_t in_channels_;
@@ -84,7 +100,9 @@ class SetAbstraction {
   std::vector<std::size_t> scale_out_channels_;
   std::size_t out_channels_ = 0;
 
-  std::vector<ScaleCache> caches_;
+  // Forward caches.
+  std::vector<std::size_t> members_;              ///< ball_query's input rows
+  std::vector<std::vector<std::size_t>> argmax_;  ///< per scale: winning row per (group, channel)
   std::size_t in_rows_ = 0;
   std::size_t batch_ = 0;
   nn::Workspace train_ws_;  ///< forward()'s grouping temporaries

@@ -10,20 +10,14 @@
 //
 //   * matmul     skips the j-pass when a(i,k) == 0.0f  — so NaN/Inf in the
 //                masked b-row do NOT propagate, and -0.0 outputs survive;
-//   * matmul_at  skips when a(k,i) == 0.0f (same rationale);
-//   * matmul_bt  has NO skip — it is the dot-product form.
+//   * matmul_at  skips when a(k,i) == 0.0f (same rationale).
 //
-// test_gemm_kernel runs the differential battery (optimized vs these) and
-// bench/gemm_bench reports the speedup against them. They are header-only
-// and deliberately boring: do not "optimize" them.
-//
-// Comparison contract per kernel: matmul and matmul_at must match these
-// BIT-FOR-BIT on every shape. matmul_bt is BAND-CHECKED (tight ulp-scale
-// tolerance) instead: its serial k-reduction picks up a contraction mix
-// (fused vs mul-then-add per term) that depends on the compiler's
-// vectorization of the surrounding loop nest, so two source-identical
-// copies in different TUs may legitimately differ in final-ulp rounding.
-// Thread-count invariance is still exact for all three.
+// nn::Linear runs `matmul` on its transposed weight, so every f32 layer of
+// the training and unfused inference paths inherits this contract.
+// test_gemm_kernel runs the differential battery (optimized vs these,
+// memcmp on every shape, plus thread-count invariance) and bench/gemm_bench
+// reports the speedup against them. They are header-only and deliberately
+// boring: do not "optimize" them.
 #include "nn/tensor.hpp"
 
 namespace gp::nn {
@@ -42,23 +36,6 @@ inline void matmul_ref(const Tensor& a, const Tensor& b, Tensor& out) {
       if (aik == 0.0f) continue;
       const float* brow = b.row(k);
       for (std::size_t j = 0; j < N; ++j) orow[j] += aik * brow[j];
-    }
-  }
-}
-
-inline void matmul_bt_ref(const Tensor& a, const Tensor& b, Tensor& out) {
-  check_arg(a.cols() == b.cols(), "matmul_bt_ref inner dimension mismatch");
-  if (out.rows() != a.rows() || out.cols() != b.rows()) out.resize(a.rows(), b.rows());
-  const std::size_t K = a.cols();
-  const std::size_t N = b.rows();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (std::size_t j = 0; j < N; ++j) {
-      const float* brow = b.row(j);
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-      orow[j] = acc;
     }
   }
 }

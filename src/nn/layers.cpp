@@ -21,18 +21,26 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng, std:
 
 Tensor Linear::forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
+  Tensor weight_t;
   Tensor out;
-  affine(input, out);
+  affine(input, weight_t, out);
   return out;
 }
 
-void Linear::infer(const Tensor& input, Tensor& out, Workspace& /*ws*/) const {
-  affine(input, out);
+void Linear::infer(const Tensor& input, Tensor& out, Workspace& ws) const {
+  const Workspace::Frame frame(ws);
+  affine(input, ws.take<Tensor>(), out);
 }
 
-void Linear::affine(const Tensor& input, Tensor& out) const {
+void Linear::affine(const Tensor& input, Tensor& weight_t, Tensor& out) const {
   check_arg(input.cols() == weight_.value.cols(), "Linear input width mismatch");
-  matmul_bt(input, weight_.value, out);  // (N x in) * (out x in)^T
+  const Tensor& w = weight_.value;
+  weight_t.resize(w.cols(), w.rows());
+  for (std::size_t k = 0; k < w.cols(); ++k) {
+    float* dst = weight_t.row(k);  // contiguous writes: ~2x the strided form
+    for (std::size_t o = 0; o < w.rows(); ++o) dst[o] = w.at(o, k);
+  }
+  matmul(input, weight_t, out);  // (N x in) * (in x out)
   const float* b = bias_.value.row(0);
   for (std::size_t i = 0; i < out.rows(); ++i) {
     float* row = out.row(i);
@@ -152,51 +160,74 @@ Tensor BatchNorm1d::forward(const Tensor& input, bool training) {
   Tensor out(n, features_);
   x_hat_ = Tensor(n, features_);
   batch_var_ = Tensor(1, features_);
+  std::vector<double> constants(2 * features_, 0.0);  // [mean | inv_std]
+  double* mean = constants.data();
+  double* inv_std = mean + features_;
 
-  for (std::size_t c = 0; c < features_; ++c) {
-    double m = 0.0;
-    double v = 0.0;
-    if (training && n > 1) {
-      for (std::size_t i = 0; i < n; ++i) m += input.at(i, c);
-      m /= static_cast<double>(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double d = input.at(i, c) - m;
-        v += d * d;
-      }
-      v /= static_cast<double>(n);
-      running_mean_.value.at(0, c) = static_cast<float>(
-          (1.0 - momentum_) * running_mean_.value.at(0, c) + momentum_ * m);
-      running_var_.value.at(0, c) = static_cast<float>(
-          (1.0 - momentum_) * running_var_.value.at(0, c) + momentum_ * v);
-    } else {
-      m = running_mean_.value.at(0, c);
-      v = running_var_.value.at(0, c);
-    }
-    batch_var_.at(0, c) = static_cast<float>(v);
-    normalize_channel(input, c, m, v, out, &x_hat_);
-  }
   trained_with_batch_ = training && n > 1;
+  if (trained_with_batch_) {
+    // Batch moments, row-major: each channel still sums its rows in
+    // ascending order. The variance accumulates in inv_std's slots.
+    double* var = inv_std;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* x = input.row(i);
+      for (std::size_t c = 0; c < features_; ++c) mean[c] += x[c];
+    }
+    for (std::size_t c = 0; c < features_; ++c) mean[c] /= static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* x = input.row(i);
+      for (std::size_t c = 0; c < features_; ++c) {
+        const double d = x[c] - mean[c];
+        var[c] += d * d;
+      }
+    }
+    for (std::size_t c = 0; c < features_; ++c) {
+      var[c] /= static_cast<double>(n);
+      running_mean_.value.at(0, c) = static_cast<float>(
+          (1.0 - momentum_) * running_mean_.value.at(0, c) + momentum_ * mean[c]);
+      running_var_.value.at(0, c) = static_cast<float>(
+          (1.0 - momentum_) * running_var_.value.at(0, c) + momentum_ * var[c]);
+      batch_var_.at(0, c) = static_cast<float>(var[c]);
+      inv_std[c] = 1.0 / std::sqrt(var[c] + eps_);
+    }
+  } else {
+    running_constants(mean, inv_std);
+    batch_var_ = running_var_.value;
+  }
+  normalize(input, mean, inv_std, out, &x_hat_);
   return out;
 }
 
-void BatchNorm1d::infer(const Tensor& input, Tensor& out, Workspace& /*ws*/) const {
+void BatchNorm1d::infer(const Tensor& input, Tensor& out, Workspace& ws) const {
   check_arg(input.cols() == features_, "BatchNorm input width mismatch");
+  const Workspace::Frame frame(ws);
+  std::vector<double>& constants = ws.take<std::vector<double>>();
+  constants.resize(2 * features_);
+  running_constants(constants.data(), constants.data() + features_);
   out.resize(input.rows(), features_);
+  normalize(input, constants.data(), constants.data() + features_, out, nullptr);
+}
+
+void BatchNorm1d::running_constants(double* mean, double* inv_std) const {
   for (std::size_t c = 0; c < features_; ++c) {
-    normalize_channel(input, c, running_mean_.value.at(0, c), running_var_.value.at(0, c), out,
-                      nullptr);
+    mean[c] = running_mean_.value.at(0, c);
+    inv_std[c] = 1.0 / std::sqrt(static_cast<double>(running_var_.value.at(0, c)) + eps_);
   }
 }
 
-void BatchNorm1d::normalize_channel(const Tensor& input, std::size_t c, double m, double v,
-                                    Tensor& out, Tensor* x_hat) const {
-  const double inv_std = 1.0 / std::sqrt(v + eps_);
-  const float gamma = gamma_.value.at(0, c);
-  const float beta = beta_.value.at(0, c);
+void BatchNorm1d::normalize(const Tensor& input, const double* mean, const double* inv_std,
+                            Tensor& out, Tensor* x_hat) const {
+  const float* gamma = gamma_.value.row(0);
+  const float* beta = beta_.value.row(0);
   for (std::size_t i = 0; i < input.rows(); ++i) {
-    const double xh = (input.at(i, c) - m) * inv_std;
-    if (x_hat != nullptr) x_hat->at(i, c) = static_cast<float>(xh);
-    out.at(i, c) = static_cast<float>(gamma * xh + beta);
+    const float* x = input.row(i);
+    float* y = out.row(i);
+    float* xh_row = x_hat != nullptr ? x_hat->row(i) : nullptr;
+    for (std::size_t c = 0; c < features_; ++c) {
+      const double xh = (x[c] - mean[c]) * inv_std[c];
+      if (xh_row != nullptr) xh_row[c] = static_cast<float>(xh);
+      y[c] = static_cast<float>(gamma[c] * xh + beta[c]);
+    }
   }
 }
 

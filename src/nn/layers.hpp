@@ -49,7 +49,9 @@ class Layer {
   virtual std::vector<Parameter*> buffers() { return {}; }
 };
 
-/// y = x W^T + b, with W stored (out x in) and Kaiming-uniform init.
+/// y = x W^T + b, with W stored (out x in) and Kaiming-uniform init. Both
+/// forward() and infer() run the blocked `matmul` on a transposed copy of W,
+/// so the layer inherits its bit-pinned contract (nn/gemm_ref.hpp).
 class Linear : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng, std::string name = "linear");
@@ -63,8 +65,9 @@ class Linear : public Layer {
   Parameter& bias() { return bias_; }
 
  private:
-  /// out = input W^T + b: the one kernel behind forward() and infer().
-  void affine(const Tensor& input, Tensor& out) const;
+  /// out = input W^T + b, with W^T written into `weight_t` first: the one
+  /// kernel behind forward() and infer().
+  void affine(const Tensor& input, Tensor& weight_t, Tensor& out) const;
 
   Parameter weight_;  ///< (out x in)
   Parameter bias_;    ///< (1 x out)
@@ -124,10 +127,13 @@ class BatchNorm1d : public Layer {
   double eps() const { return eps_; }
 
  private:
-  /// out(:, c) = γ_c·(x(:, c) − m)/√(v + ε) + β_c, also storing x̂ when asked:
-  /// the per-channel map behind both forward() and infer().
-  void normalize_channel(const Tensor& input, std::size_t c, double m, double v, Tensor& out,
-                         Tensor* x_hat) const;
+  /// mean[c] and inv_std[c] = 1/√(v + ε) from the running statistics.
+  void running_constants(double* mean, double* inv_std) const;
+  /// out(i, c) = γ_c·x̂ + β_c with x̂ = (x(i, c) − mean[c])·inv_std[c], in one
+  /// row-major pass, also storing x̂ when asked: the per-element map behind
+  /// both forward() and infer().
+  void normalize(const Tensor& input, const double* mean, const double* inv_std, Tensor& out,
+                 Tensor* x_hat) const;
 
   std::size_t features_;
   double momentum_;

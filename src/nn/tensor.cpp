@@ -152,45 +152,6 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& out, exec::ExecContext& ct
   ctx.parallel_for_chunks(0, a.rows(), row_grain(a.rows(), K * N), panel);
 }
 
-void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out, exec::ExecContext& ctx) {
-  check_arg(a.cols() == b.cols(), "matmul_bt inner dimension mismatch");
-  if (out.rows() != a.rows() || out.cols() != b.rows()) out.resize(a.rows(), b.rows());
-  const std::size_t K = a.cols();
-  const std::size_t N = b.rows();
-
-  // Dot-product form: each out(i,j) is one serial ascending-k reduction.
-  // This kernel is deliberately LEFT IN ITS ORIGINAL SOURCE FORM. The
-  // pipeline goldens pin the exact bits of the float chain this loop
-  // compiles to, and that chain is contraction-context-dependent (the
-  // compiler's vector body sums mul-then-add while its scalar path fuses —
-  // which mix a given K gets depends on codegen details a restructured
-  // packed kernel cannot reproduce portably). A blocked rewrite here would
-  // be answer-changing, so the battery in test_gemm_kernel band-checks this
-  // kernel against the reference instead of requiring bit-equality — and
-  // pins exact thread-count invariance, which chunking does guarantee.
-  // The serve hot path does not pass through here (FusedLinear carries its
-  // own epilogue-fused kernels), so raw speed matters least of the three.
-  const auto panel = [&](std::size_t rb, std::size_t re) {
-    for (std::size_t i = rb; i < re; ++i) {
-      const float* arow = a.row(i);
-      float* orow = out.row(i);
-      for (std::size_t j = 0; j < N; ++j) {
-        const float* brow = b.row(j);
-        float acc = 0.0f;
-        for (std::size_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-        orow[j] = acc;
-      }
-    }
-  };
-
-  const std::size_t flops = a.rows() * K * N;
-  if (flops < kParallelMinFlops || ctx.threads() <= 1) {
-    panel(0, a.rows());
-    return;
-  }
-  ctx.parallel_for_chunks(0, a.rows(), row_grain(a.rows(), K * N), panel);
-}
-
 void matmul_at(const Tensor& a, const Tensor& b, Tensor& out, exec::ExecContext& ctx) {
   check_arg(a.rows() == b.rows(), "matmul_at inner dimension mismatch");
   if (out.rows() != a.cols() || out.cols() != b.cols()) out.resize(a.cols(), b.cols());
@@ -251,20 +212,27 @@ void max_pool_rows(const Tensor& act, std::size_t groups, std::size_t m, Tensor&
   check_arg(m > 0 && act.rows() == groups * m, "max_pool_rows: rows are not groups x m");
   check_arg(out.rows() >= groups && out.cols() >= col_offset + cs,
             "max_pool_rows: output too small");
+  // Row-major: each channel still compares its rows in ascending order
+  // with a strict `>`, so the first maximum wins exactly as in a per-channel
+  // scan.
   for (std::size_t g = 0; g < groups; ++g) {
-    float* dst = out.row(g) + col_offset;
-    for (std::size_t c = 0; c < cs; ++c) {
-      std::size_t best_row = g * m;
-      float best = act.at(best_row, c);
-      for (std::size_t j = 1; j < m; ++j) {
-        const float v = act.at(g * m + j, c);
-        if (v > best) {
-          best = v;
-          best_row = g * m + j;
+    float* GP_RESTRICT dst = out.row(g) + col_offset;
+    const float* first = act.row(g * m);
+    std::copy(first, first + cs, dst);
+    std::size_t* win = argmax != nullptr ? argmax + g * cs : nullptr;
+    if (win != nullptr) std::fill(win, win + cs, g * m);
+    for (std::size_t j = 1; j < m; ++j) {
+      const float* GP_RESTRICT row = act.row(g * m + j);
+      if (win != nullptr) {
+        for (std::size_t c = 0; c < cs; ++c) {
+          if (row[c] > dst[c]) {
+            dst[c] = row[c];
+            win[c] = g * m + j;
+          }
         }
+      } else {
+        for (std::size_t c = 0; c < cs; ++c) dst[c] = row[c] > dst[c] ? row[c] : dst[c];
       }
-      dst[c] = best;
-      if (argmax != nullptr) argmax[g * cs + c] = best_row;
     }
   }
 }

@@ -70,9 +70,6 @@ class Tensor {
 /// out = a (rows x k) * b (k x cols). Shapes validated.
 void matmul(const Tensor& a, const Tensor& b, Tensor& out,
             exec::ExecContext& ctx = exec::ExecContext::global());
-/// out = a (rows x k) * b^T where b is (cols x k).
-void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out,
-               exec::ExecContext& ctx = exec::ExecContext::global());
 /// out = a^T (k x rows) * b (k x cols)  => (rows x cols).
 void matmul_at(const Tensor& a, const Tensor& b, Tensor& out,
                exec::ExecContext& ctx = exec::ExecContext::global());

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -388,10 +389,12 @@ TEST(Mem, ServeSteadyTickZeroAllocQuantized) {
 // segments of 3 TTA rows, the gesture pass and every routed user pass,
 // sharded over 1 and 4 exec lanes — touches the heap zero times once its
 // DecisionScratch (lane workspaces included) and answer slots are warm.
-void run_decide_batch_zero_alloc(nn::QuantMode quant) {
+/// `quant` fuses the loaded system first; nullopt keeps the layered
+/// (unfused) forward that classify() and offline evaluation run.
+void run_decide_batch_zero_alloc(std::optional<nn::QuantMode> quant) {
   GesturePrintSystem system(world().config);
   ASSERT_TRUE(system.try_load(world().model_path));
-  system.fuse_for_inference(quant);
+  if (quant.has_value()) system.fuse_for_inference(*quant);
 
   std::vector<FeaturizedSample> rows;
   std::vector<std::size_t> counts;
@@ -425,6 +428,10 @@ TEST(Mem, DecideBatchZeroAllocWarm) { run_decide_batch_zero_alloc(nn::QuantMode:
 TEST(Mem, DecideBatchZeroAllocWarmQuantized) {
   run_decide_batch_zero_alloc(nn::QuantMode::kInt8);
 }
+
+// The layered path: Linear's transposed weight, batch-norm's per-channel
+// constants and the ball-query buffers all come from the lane workspaces.
+TEST(Mem, DecideBatchZeroAllocWarmLayered) { run_decide_batch_zero_alloc(std::nullopt); }
 
 }  // namespace
 }  // namespace gp

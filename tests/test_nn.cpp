@@ -54,15 +54,23 @@ TEST(Tensor, MatmulVariantsAgree) {
   Tensor direct;
   matmul(a, b, direct);
 
-  // matmul_bt: c = a * bt^T where bt = b^T.
-  Tensor bt(5, 6);
+  // Linear is matmul on its transposed weight plus the bias, bit for bit.
+  Rng init(2);
+  Linear linear(6, 5, init);
+  for (std::size_t j = 0; j < 5; ++j) linear.bias().value.at(0, j) = 0.25f * static_cast<float>(j);
+  Tensor wt(6, 5);
   for (std::size_t i = 0; i < 6; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) bt.at(j, i) = b.at(i, j);
+    for (std::size_t j = 0; j < 5; ++j) wt.at(i, j) = linear.weight().value.at(j, i);
   }
-  Tensor via_bt;
-  matmul_bt(a, bt, via_bt);
-  for (std::size_t i = 0; i < direct.numel(); ++i) {
-    EXPECT_NEAR(via_bt.vec()[i], direct.vec()[i], 1e-4);
+  Tensor via_wt;
+  matmul(a, wt, via_wt);
+  const Tensor via_linear = linear.forward(a, /*training=*/false);
+  ASSERT_EQ(via_linear.rows(), 4u);
+  ASSERT_EQ(via_linear.cols(), 5u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      EXPECT_EQ(via_linear.at(i, j), via_wt.at(i, j) + linear.bias().value.at(0, j));
+    }
   }
 
   // matmul_at: c = at^T * b where at = a^T.

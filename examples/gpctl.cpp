@@ -17,9 +17,9 @@
 //   gpctl enroll [--rounds N] [--sessions N]
 //       live enrollment view (gp::enroll, DESIGN.md §13): streams enrolled
 //       performers plus one unknown newcomer through a serve stack with the
-//       EnrollmentService armed, and redraws candidate buffers, fine-tunes
-//       in flight and the last published model version each round (honours
-//       GP_ENROLL_K, GP_ENROLL_MAX_CANDIDATES, GP_ENROLL_BACKGROUND)
+//       EnrollmentService armed, and redraws candidate buffers, fine-tune
+//       counts and the last published model version each round (honours
+//       GP_ENROLL_K, GP_ENROLL_MAX_CANDIDATES)
 //
 // Dataset names: gestureprint-office, gestureprint-meeting, pantomime-office,
 // pantomime-open, mhomeges, mtranssee.
@@ -51,16 +51,19 @@ int usage() {
   return 2;
 }
 
-// Minimal flag parsing: --key value pairs after the positional arguments.
+// Minimal flag parsing after the positional arguments, one token at a
+// time: a boolean flag (--parallel) takes no value, every other --key takes
+// the token after it.
 std::map<std::string, std::string> parse_flags(int argc, char** argv, int first) {
   std::map<std::string, std::string> flags;
-  for (int i = first; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    flags[argv[i] + 2] = argv[i + 1];
-  }
-  // Boolean flags (no value).
   for (int i = first; i < argc; ++i) {
-    if (std::string(argv[i]) == "--parallel") flags["parallel"] = "1";
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const std::string key = argv[i] + 2;
+    if (key == "parallel") {
+      flags[key] = "1";
+    } else if (i + 1 < argc) {
+      flags[key] = argv[++i];
+    }
   }
   return flags;
 }
@@ -306,8 +309,8 @@ void draw_enroll_view(const enroll::EnrollmentService& service, std::uint64_t mo
   std::cout << "gpctl enroll — round " << round << "/" << rounds << ", serving model v"
             << model_version << " (last publish v" << stats.last_publish_version << ")\n";
   std::cout << "novelty rejections " << stats.novelty_rejections << ", fine-tunes "
-            << stats.fine_tunes_started << " started / " << stats.fine_tunes_in_flight
-            << " in flight / " << stats.fine_tunes_failed << " failed, users enrolled "
+            << stats.fine_tunes_started << " started / " << stats.fine_tunes_failed
+            << " failed, users enrolled "
             << stats.users_enrolled << "\n";
   std::cout << "evicted: " << stats.evicted_segments << " segments, "
             << stats.evicted_candidates << " candidates\n\n";
@@ -414,7 +417,6 @@ int cmd_enroll(int argc, char** argv) {
     }
   }
   (void)server.drain();
-  service.wait_for_fine_tune();
   draw_enroll_view(service, registry.version(), rounds, rounds);
   return 0;
 }

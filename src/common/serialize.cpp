@@ -46,12 +46,6 @@ void BinaryWriter::write_f64_vector(const std::vector<double>& v) {
              static_cast<std::streamsize>(v.size() * sizeof(double)));
 }
 
-void BinaryWriter::write_i8_vector(const std::vector<std::int8_t>& v) {
-  write_u64(v.size());
-  out_.write(reinterpret_cast<const char*>(v.data()),
-             static_cast<std::streamsize>(v.size() * sizeof(std::int8_t)));
-}
-
 void BinaryWriter::write_u32_vector(const std::vector<std::uint32_t>& v) {
   write_u64(v.size());
   out_.write(reinterpret_cast<const char*>(v.data()),
@@ -166,13 +160,6 @@ std::vector<double> BinaryReader::read_f64_vector() {
   const std::uint64_t n = read_count(sizeof(double), "f64 vector");
   std::vector<double> v(static_cast<std::size_t>(n));
   if (n > 0) read_raw(v.data(), static_cast<std::size_t>(n) * sizeof(double));
-  return v;
-}
-
-std::vector<std::int8_t> BinaryReader::read_i8_vector() {
-  const std::uint64_t n = read_count(sizeof(std::int8_t), "i8 vector");
-  std::vector<std::int8_t> v(static_cast<std::size_t>(n));
-  if (n > 0) read_raw(v.data(), static_cast<std::size_t>(n) * sizeof(std::int8_t));
   return v;
 }
 

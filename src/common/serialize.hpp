@@ -31,7 +31,6 @@ class BinaryWriter {
   void write_string(const std::string& s);
   void write_f32_vector(const std::vector<float>& v);
   void write_f64_vector(const std::vector<double>& v);
-  void write_i8_vector(const std::vector<std::int8_t>& v);
   void write_u32_vector(const std::vector<std::uint32_t>& v);
 
  private:
@@ -58,7 +57,6 @@ class BinaryReader {
   std::string read_string();
   std::vector<float> read_f32_vector();
   std::vector<double> read_f64_vector();
-  std::vector<std::int8_t> read_i8_vector();
   std::vector<std::uint32_t> read_u32_vector();
 
   /// Reads a u64 element count and validates that `count * min_bytes_per_elem`

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <exception>
 #include <tuple>
 #include <utility>
@@ -26,10 +25,6 @@ EnrollmentService::EnrollmentService(EnrollmentServiceConfig config,
       base_model_path_(config_.base_model_path) {
   check_arg(config_.admission.k_segments >= 1, "enrollment K must be >= 1");
   check_arg(!config_.publish_dir.empty(), "enrollment needs a publish directory");
-}
-
-EnrollmentService::~EnrollmentService() {
-  if (worker_.joinable()) worker_.join();
 }
 
 void EnrollmentService::calibrate(const Dataset& dataset,
@@ -86,24 +81,7 @@ bool EnrollmentService::gate(const serve::PendingSegment& segment,
 }
 
 void EnrollmentService::close_tick(std::uint64_t tick) {
-  // 1. Land a finished background fine-tune: publish + gallery growth happen
-  //    here, at the tick barrier, never on the worker thread.
-  if (config_.admission.background) {
-    std::optional<FineTuneOutcome> done;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (worker_outcome_.has_value() && !worker_running_) {
-        done = std::move(worker_outcome_);
-        worker_outcome_.reset();
-      }
-    }
-    if (done.has_value()) {
-      worker_.join();
-      commit_outcome(std::move(*done), tick);
-    }
-  }
-
-  // 2. Admit this tick's rejected segments in (session_id, ordinal) order —
+  // 1. Admit this tick's rejected segments in (session_id, ordinal) order —
   //    the shard-count/thread-count-independent canonical stream order.
   if (!staged_.empty()) {
     std::sort(staged_.begin(), staged_.end(),
@@ -127,7 +105,7 @@ void EnrollmentService::close_tick(std::uint64_t tick) {
     staged_.clear();
   }
 
-  // 3. Fire fine-tunes for K-ready candidates.
+  // 2. Fire fine-tunes for K-ready candidates.
   trigger_ready(tick);
 
   std::lock_guard<std::mutex> lk(mu_);
@@ -149,39 +127,8 @@ void EnrollmentService::trigger_ready(std::uint64_t tick) {
     }
     if (ready == nullptr) return;
 
-    if (config_.admission.background) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        // One fine-tune in flight at a time; the candidate keeps buffering
-        // until the slot frees up.
-        if (worker_running_ || worker_outcome_.has_value()) return;
-        worker_running_ = true;
-        ++stats_.fine_tunes_started;
-        ++stats_.fine_tunes_in_flight;
-      }
-      FineTuneJob job;
-      job.candidate_id = ready->id;
-      job.seq = ++enroll_seq_;
-      job.trigger_tick = tick;
-      job.evidence = buffer_.take(ready->id);
-      for (const EnrollObservation& obs : job.evidence) {
-        if (job.first_staged_ns == 0 || obs.staged_ns < job.first_staged_ns) {
-          job.first_staged_ns = obs.staged_ns;
-        }
-      }
-      if (worker_.joinable()) worker_.join();  // previous outcome committed
-      worker_ = std::thread([this, job = std::move(job)]() mutable {
-        FineTuneOutcome outcome = run_fine_tune(std::move(job));
-        std::lock_guard<std::mutex> lk(mu_);
-        worker_outcome_ = std::move(outcome);
-        worker_running_ = false;
-        --stats_.fine_tunes_in_flight;
-      });
-      return;  // the slot is taken; further candidates wait
-    }
-
-    // Synchronous: run inline at the tick barrier. Several ready candidates
-    // enroll back-to-back, each fine-tune rebased on the previous publish.
+    // Run inline at the tick barrier. Several ready candidates enroll
+    // back-to-back, each fine-tune rebased on the previous publish.
     FineTuneJob job;
     job.candidate_id = ready->id;
     job.seq = ++enroll_seq_;
@@ -289,17 +236,6 @@ void EnrollmentService::commit_outcome(FineTuneOutcome outcome, std::uint64_t ti
   ++stats_.users_enrolled;
   stats_.last_publish_version = *version;
   enrolled_.push_back(std::move(record));
-}
-
-void EnrollmentService::wait_for_fine_tune() {
-  if (!config_.admission.background) return;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!worker_running_) return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
 }
 
 EnrollmentService::Stats EnrollmentService::stats() const {

@@ -17,19 +17,14 @@
 // (session_id, ordinal). Enrollment outcomes are therefore pure functions of
 // the per-session streams — bitwise invariant to GP_THREADS × shard count.
 //
-// Synchronous mode (default) runs the fine-tune inside close_tick, which
-// pins the publish to a deterministic stream position. Background mode
-// (GP_ENROLL_BACKGROUND=1) runs it on a worker thread: the pump loop never
-// blocks, the published artifact is bit-identical, but the version flip
-// lands a wall-clock-dependent number of ticks later.
+// The fine-tune runs inside close_tick, which pins the publish to a
+// deterministic stream position.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "enroll/buffer.hpp"
@@ -69,7 +64,6 @@ class EnrollmentService final : public serve::EnrollmentHook {
   /// `registry` must outlive the service; its config() is the architecture
   /// fine-tuned systems are constructed with.
   EnrollmentService(EnrollmentServiceConfig config, serve::ModelRegistry& registry);
-  ~EnrollmentService() override;
 
   EnrollmentService(const EnrollmentService&) = delete;
   EnrollmentService& operator=(const EnrollmentService&) = delete;
@@ -82,11 +76,6 @@ class EnrollmentService final : public serve::EnrollmentHook {
   // serve::EnrollmentHook
   bool gate(const serve::PendingSegment& segment, const serve::ServeResult& result) override;
   void close_tick(std::uint64_t tick) override;
-
-  /// Background mode: blocks until the in-flight fine-tune (if any) has
-  /// finished training; its publish still lands at the next close_tick().
-  /// No-op in synchronous mode.
-  void wait_for_fine_tune();
 
   /// One completed enrollment (audit record).
   struct EnrolledUser {
@@ -105,7 +94,6 @@ class EnrollmentService final : public serve::EnrollmentHook {
     std::uint64_t evicted_candidates = 0;
     std::uint64_t fine_tunes_started = 0;
     std::uint64_t fine_tunes_failed = 0;   ///< base load/save/publish failed
-    std::uint64_t fine_tunes_in_flight = 0;
     std::uint64_t users_enrolled = 0;
     std::uint64_t last_publish_version = 0;
   };
@@ -136,13 +124,12 @@ class EnrollmentService final : public serve::EnrollmentHook {
     std::string artifact;  ///< saved .gpsy (valid when ok)
   };
 
-  /// Trains + saves the widened system (no registry/gallery mutation) —
-  /// safe on the worker thread.
+  /// Trains + saves the widened system (no registry/gallery mutation).
   FineTuneOutcome run_fine_tune(FineTuneJob job);
   /// Publishes the artifact and applies gallery/bookkeeping mutations.
   /// close_tick() context only.
   void commit_outcome(FineTuneOutcome outcome, std::uint64_t tick);
-  /// Scans for K-ready candidates and starts/runs their fine-tunes.
+  /// Scans for K-ready candidates and runs their fine-tunes.
   void trigger_ready(std::uint64_t tick);
 
   EnrollmentServiceConfig config_;
@@ -157,13 +144,7 @@ class EnrollmentService final : public serve::EnrollmentHook {
   /// admitted in (session_id, ordinal) order by close_tick().
   std::vector<EnrollObservation> staged_;
 
-  /// Background worker (admission.background only): one fine-tune in
-  /// flight at a time; its outcome is committed at the next close_tick.
-  std::thread worker_;
-  std::optional<FineTuneOutcome> worker_outcome_;  ///< guarded by mu_
-  bool worker_running_ = false;                    ///< guarded by mu_
-
-  mutable std::mutex mu_;  ///< guards stats_/enrolled_/worker state
+  mutable std::mutex mu_;  ///< guards stats_/enrolled_
   Stats stats_;
   std::vector<EnrolledUser> enrolled_;
 };

@@ -261,52 +261,20 @@ std::unique_ptr<GesIDNet> GesIDNet::widen_head(std::size_t new_classes, std::uin
 
 void GesIDNet::fuse_for_inference(nn::QuantMode mode) {
   if (fused_) return;
-  // Preloaded tables (stashed by deserialization) are consumed in the same
-  // fixed component order collect_quant_tables emits; a cursor left
-  // part-consumed or over-consumed means the stream disagreed with this
-  // architecture, which is corruption — fail loudly, not silently.
-  nn::QuantTableCursor cursor;
-  nn::QuantTableCursor* preload = nullptr;
-  if (mode == nn::QuantMode::kInt8 && !pending_quant_.empty()) {
-    cursor.tables = &pending_quant_;
-    preload = &cursor;
-  }
-  sa1_->fuse_inference(mode, preload);
-  sa2_->fuse_inference(mode, preload);
-  level1_->fuse_inference(mode, preload);
-  level2_->fuse_inference(mode, preload);
+  sa1_->fuse_inference(mode);
+  sa2_->fuse_inference(mode);
+  level1_->fuse_inference(mode);
+  level2_->fuse_inference(mode);
   if (config_.enable_fusion) {
-    resize_2to1_->fuse_inference(mode, preload);
-    resize_1to2_->fuse_inference(mode, preload);
+    resize_2to1_->fuse_inference(mode);
+    resize_1to2_->fuse_inference(mode);
     // AttentionFusion holds raw gate parameters (no Linear/BN stack): its
     // forward is already a single pass, nothing to fold.
   }
-  head1_->fuse_inference(mode, preload);
-  head2_->fuse_inference(mode, preload);
-  if (preload != nullptr) {
-    check(cursor.next == pending_quant_.size(),
-          "GesIDNet: quant table count does not match architecture");
-  }
-  pending_quant_.clear();
-  pending_quant_.shrink_to_fit();
+  head1_->fuse_inference(mode);
+  head2_->fuse_inference(mode);
   fused_ = true;
   quant_ = mode;
-}
-
-std::vector<nn::QuantLinearTables> GesIDNet::collect_quant_tables() {
-  check(!fused_, "collect_quant_tables on a fused model");
-  std::vector<nn::QuantLinearTables> tables;
-  sa1_->collect_quant_tables(tables);
-  sa2_->collect_quant_tables(tables);
-  level1_->collect_quant_tables(tables);
-  level2_->collect_quant_tables(tables);
-  if (config_.enable_fusion) {
-    resize_2to1_->collect_quant_tables(tables);
-    resize_1to2_->collect_quant_tables(tables);
-  }
-  head1_->collect_quant_tables(tables);
-  head2_->collect_quant_tables(tables);
-  return tables;
 }
 
 std::unique_ptr<PointCloudClassifier> GesIDNet::clone() {

@@ -77,30 +77,17 @@ class GesIDNet : public PointCloudClassifier {
 
   /// Irreversibly rewrites every MLP stack into its fused inference form
   /// (nn/fused.hpp): batch-norms folded into the linears, ReLU epilogues,
-  /// dropout removed, weights transposed for the outer-product kernel.
+  /// dropout removed, weights transposed for the blocked GEMM.
   /// Afterwards the model is inference-only — train_step() throws, clone()
   /// returns nullptr, and parameters()/buffers() must not be serialized.
-  /// gp::serve calls this on its private ModelSnapshot copies (the 2×
-  /// serving-throughput win, DESIGN.md §8); never fuse a model you still
-  /// need to train, save, or clone.
-  /// With QuantMode::kInt8 every fused layer runs the symmetric int8 kernel
-  /// (nn/quant.hpp), using tables stashed by set_pending_quant_tables when
-  /// present (the .gpsy path) and quantizing the fresh BN fold otherwise —
-  /// both yield bit-identical tables.
+  /// gp::serve calls this on its private ModelSnapshot copies (DESIGN.md
+  /// §8); never fuse a model you still need to train, save, or clone.
+  /// With QuantMode::kInt8 every fused layer quantizes its BN fold and runs
+  /// the symmetric int8 kernel (nn/quant.hpp).
   void fuse_for_inference(nn::QuantMode mode = nn::QuantMode::kOff);
   bool fused() const { return fused_; }
   /// Quant mode the model was fused with (kOff before fusing).
   nn::QuantMode quant() const { return quant_; }
-
-  /// Int8 tables for every fusable layer run, in fuse_for_inference order.
-  /// Only valid on an unfused (serializable) model.
-  std::vector<nn::QuantLinearTables> collect_quant_tables();
-
-  /// Stashes deserialized tables for the next fuse_for_inference(kInt8);
-  /// consumed (and shape-validated) at fuse time, ignored by a kOff fuse.
-  void set_pending_quant_tables(std::vector<nn::QuantLinearTables> tables) {
-    pending_quant_ = std::move(tables);
-  }
 
  private:
   /// The inference trunk: set abstraction, level features and fusion into
@@ -118,8 +105,6 @@ class GesIDNet : public PointCloudClassifier {
   GesIDNetConfig config_;
   bool fused_ = false;  ///< fuse_for_inference() ran; forward-only now
   nn::QuantMode quant_ = nn::QuantMode::kOff;  ///< mode the fuse ran with
-  /// Tables stashed by deserialization, consumed at fuse time.
-  std::vector<nn::QuantLinearTables> pending_quant_;
   std::unique_ptr<SetAbstraction> sa1_;
   std::unique_ptr<SetAbstraction> sa2_;
   std::unique_ptr<GroupAll> level1_;

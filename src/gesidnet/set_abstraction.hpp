@@ -72,15 +72,9 @@ class SetAbstraction {
   std::size_t num_centroids() const { return num_centroids_; }
 
   /// Fuses every per-scale shared MLP for inference (nn/fused.hpp);
-  /// irreversible, forward-only afterwards. Mode/cursor per nn/quant.hpp.
-  void fuse_inference(nn::QuantMode mode = nn::QuantMode::kOff,
-                      nn::QuantTableCursor* preload = nullptr) {
-    for (auto& mlp : mlps_) mlp->fuse_inference(mode, preload);
-  }
-
-  /// Appends int8 tables for every per-scale MLP, in fuse order.
-  void collect_quant_tables(std::vector<nn::QuantLinearTables>& out) {
-    for (auto& mlp : mlps_) mlp->collect_quant_tables(out);
+  /// irreversible, forward-only afterwards. Mode per nn/quant.hpp.
+  void fuse_inference(nn::QuantMode mode = nn::QuantMode::kOff) {
+    for (auto& mlp : mlps_) mlp->fuse_inference(mode);
   }
 
  private:
@@ -128,16 +122,8 @@ class GroupAll {
   std::size_t out_channels() const { return out_channels_; }
 
   /// Fuses the shared MLP for inference (nn/fused.hpp); irreversible.
-  /// Mode/cursor per nn/quant.hpp.
-  void fuse_inference(nn::QuantMode mode = nn::QuantMode::kOff,
-                      nn::QuantTableCursor* preload = nullptr) {
-    mlp_->fuse_inference(mode, preload);
-  }
-
-  /// Appends int8 tables for the shared MLP, in fuse order.
-  void collect_quant_tables(std::vector<nn::QuantLinearTables>& out) {
-    mlp_->collect_quant_tables(out);
-  }
+  /// Mode per nn/quant.hpp.
+  void fuse_inference(nn::QuantMode mode = nn::QuantMode::kOff) { mlp_->fuse_inference(mode); }
 
  private:
   /// [xyz | features] rows → `run_mlp(rows, activated)` → per-sample max

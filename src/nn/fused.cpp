@@ -18,8 +18,7 @@
 
 namespace gp::nn {
 
-FusedLinear::FusedLinear(Linear& linear, BatchNorm1d* bn, bool relu, QuantMode mode,
-                         const QuantLinearTables* preload)
+FusedLinear::FusedLinear(Linear& linear, BatchNorm1d* bn, bool relu, QuantMode mode)
     : relu_(relu), quant_(mode) {
   const Tensor& w = linear.weight().value;  // (out × in)
   const Tensor& b = linear.bias().value;    // (1 × out)
@@ -50,16 +49,9 @@ FusedLinear::FusedLinear(Linear& linear, BatchNorm1d* bn, bool relu, QuantMode m
   }
 
   if (quant_ == QuantMode::kInt8) {
-    if (preload != nullptr) {
-      check_arg(preload->in == in && preload->out == out,
-                "FusedLinear: preloaded quant table shape mismatch");
-      qscales_ = preload->scales;
-      qweight_ = preload->qweight;
-    } else {
-      QuantLinearTables t = quantize_folded(weight_t_.vec(), in, out);
-      qscales_ = std::move(t.scales);
-      qweight_ = std::move(t.qweight);
-    }
+    QuantLinearTables t = quantize_folded(weight_t_.vec(), in, out);
+    qscales_ = std::move(t.scales);
+    qweight_ = std::move(t.qweight);
     // Interleaved paired-k panel (see header): the kernel consumes two k
     // terms per accumulator lane, so pad odd in-widths with a zero column.
     const std::size_t in_pad = (in + 1) & ~std::size_t{1};
@@ -195,24 +187,15 @@ void FusedLinear::infer(const Tensor& input, Tensor& result, Workspace& ws) cons
     return;
   }
 
+  // The blocked GEMM on the folded (in × out) weights: serial k per output
+  // element, so a sample's row never depends on batch composition.
+  matmul(input, weight_t_, result);
   const float* bias = bias_.row(0);
-  for (std::size_t i = 0; i < input.rows(); ++i) {
-    const float* x = input.row(i);
+  for (std::size_t i = 0; i < result.rows(); ++i) {
     float* y = result.row(i);
-    for (std::size_t j = 0; j < out; ++j) y[j] = bias[j];
-    // Outer-product accumulation: broadcast x[k], stream the contiguous
-    // transposed weight row into the resident output row. Serial in k per
-    // row → bitwise batch-composition-independent per sample.
-    for (std::size_t k = 0; k < in; ++k) {
-      const float xk = x[k];
-      if (xk == 0.0f) continue;  // ReLU-sparse activations skip whole rows
-      const float* wrow = weight_t_.row(k);
-      for (std::size_t j = 0; j < out; ++j) y[j] += xk * wrow[j];
-    }
-    if (relu_) {
-      for (std::size_t j = 0; j < out; ++j) {
-        if (y[j] < 0.0f) y[j] = 0.0f;
-      }
+    for (std::size_t j = 0; j < out; ++j) {
+      const float v = y[j] + bias[j];
+      y[j] = (relu_ && v < 0.0f) ? 0.0f : v;
     }
   }
 }
@@ -221,54 +204,21 @@ Tensor FusedLinear::backward(const Tensor& /*grad_output*/) {
   throw Error("FusedLinear is inference-only: backward() on a fused model");
 }
 
-// ---- Sequential fuse / quant-table collection ------------------------------
+// ---- Sequential fuse -------------------------------------------------------
 
-namespace {
-
-/// One fusable [Linear → BatchNorm1d? → ReLU?] run starting at layer `i`.
-/// `lin == nullptr` means layers[i] is not a Linear; `next` is the index of
-/// the first layer after the run either way.
-struct FuseRun {
-  Linear* lin = nullptr;
-  BatchNorm1d* bn = nullptr;
-  bool relu = false;
-  std::size_t next = 0;
-};
-
-FuseRun match_run(const std::vector<std::unique_ptr<Layer>>& layers, std::size_t i) {
-  FuseRun run;
-  run.next = i + 1;
-  run.lin = dynamic_cast<Linear*>(layers[i].get());
-  if (run.lin == nullptr) return run;
-  std::size_t j = i + 1;
-  if (j < layers.size()) {
-    run.bn = dynamic_cast<BatchNorm1d*>(layers[j].get());
-    if (run.bn != nullptr) ++j;
-  }
-  if (j < layers.size() && dynamic_cast<ReLU*>(layers[j].get()) != nullptr) {
-    run.relu = true;
-    ++j;
-  }
-  run.next = j;
-  return run;
-}
-
-}  // namespace
-
-void Sequential::fuse_inference(QuantMode mode, QuantTableCursor* preload) {
+void Sequential::fuse_inference(QuantMode mode) {
   std::vector<std::unique_ptr<Layer>> fused;
   fused.reserve(layers_.size());
   std::size_t i = 0;
   while (i < layers_.size()) {
-    const FuseRun run = match_run(layers_, i);
-    if (run.lin != nullptr) {
-      const QuantLinearTables* tables = nullptr;
-      if (mode == QuantMode::kInt8 && preload != nullptr) {
-        check_arg(!preload->exhausted(), "fuse_inference: quant table sequence exhausted");
-        tables = &(*preload->tables)[preload->next++];
-      }
-      fused.push_back(std::make_unique<FusedLinear>(*run.lin, run.bn, run.relu, mode, tables));
-      i = run.next;
+    if (auto* lin = dynamic_cast<Linear*>(layers_[i].get())) {
+      // One fusable [Linear → BatchNorm1d? → ReLU?] run.
+      ++i;
+      auto* bn = i < layers_.size() ? dynamic_cast<BatchNorm1d*>(layers_[i].get()) : nullptr;
+      if (bn != nullptr) ++i;
+      const bool relu = i < layers_.size() && dynamic_cast<ReLU*>(layers_[i].get()) != nullptr;
+      if (relu) ++i;
+      fused.push_back(std::make_unique<FusedLinear>(*lin, bn, relu, mode));
     } else if (dynamic_cast<Dropout*>(layers_[i].get()) != nullptr) {
       ++i;  // identity at inference; drop it
     } else {
@@ -277,22 +227,6 @@ void Sequential::fuse_inference(QuantMode mode, QuantTableCursor* preload) {
     }
   }
   layers_ = std::move(fused);
-}
-
-void Sequential::collect_quant_tables(std::vector<QuantLinearTables>& out) {
-  std::size_t i = 0;
-  while (i < layers_.size()) {
-    const FuseRun run = match_run(layers_, i);
-    if (run.lin != nullptr) {
-      // A throwaway f32 fuse reuses the exact double-precision BN fold, so
-      // collected tables are bit-identical to the ones fuse_inference(kInt8)
-      // would quantize in place.
-      const FusedLinear folded(*run.lin, run.bn, run.relu);
-      out.push_back(
-          quantize_folded(folded.weight_t().vec(), folded.in_features(), folded.out_features()));
-    }
-    i = run.next;
-  }
 }
 
 }  // namespace gp::nn

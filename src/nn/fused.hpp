@@ -5,15 +5,14 @@
 //   * the batch-norm affine map is folded into the linear weights
 //     (W'_cj = W_cj · γ_c/√(σ²_c+ε), b'_c = (b_c−μ_c)·γ_c/√(σ²_c+ε)+β_c,
 //     folding done in double precision once at fuse time);
-//   * the weight matrix is stored *transposed* (in × out) so the kernel is
-//     an outer-product accumulation — broadcast x[k], FMA into a contiguous
-//     output row — which vectorises over the output dimension;
-//   * the optional ReLU runs as an epilogue on the already-resident output
-//     row, eliminating the ReLU layer's mask allocation and extra pass.
+//   * the weight matrix is stored *transposed* (in × out), the layout the
+//     blocked `matmul` (nn/tensor.hpp) consumes, so the f32 path is that one
+//     GEMM kernel followed by a single bias (+ ReLU) epilogue pass;
+//   * the optional ReLU runs in that epilogue, eliminating the ReLU layer's
+//     mask allocation and extra pass.
 //
-// QuantMode::kInt8 additionally builds symmetric per-output-channel int8
-// tables (see nn/quant.hpp) at fuse time — either quantized from the
-// double-precision fold, or taken verbatim from a preloaded .gpsy section —
+// QuantMode::kInt8 additionally quantizes the double-precision fold into
+// symmetric per-output-channel int8 tables (see nn/quant.hpp) at fuse time,
 // and forward() switches to the integer kernel: per-row dynamic activation
 // scale, int16×int8 → int32 multiply-accumulate, dequantization folded into
 // the ReLU epilogue. The kernel runs as an outer product over k-PAIRS: the
@@ -22,17 +21,18 @@
 // once (one VPDPWSSD per 8 lanes on AVX-VNNI hardware; a scalar paired loop
 // elsewhere). The int32 accumulation is exact, so every lane count and both
 // code paths produce bitwise-identical results, and all-zero activation
-// pairs can be skipped (they contribute exactly 0) — the integer analogue of
-// the f32 path's ReLU-sparsity row skip. The int16/int32 scratch rows come
-// from the caller's nn::Workspace, so infer() is const and reentrant like
-// every other layer's: lanes share the folded tables, never the scratch.
+// pairs can be skipped (they contribute exactly 0) — the integer analogue
+// of matmul's per-(i,k) zero skip on the f32 path. The int16/int32 scratch
+// rows come from the caller's nn::Workspace, so infer() is const and
+// reentrant like every other layer's: lanes share the folded tables, never
+// the scratch.
 //
-// Determinism: for each output row the k-accumulation is a fixed serial
-// loop (f32) or an exact integer reduction (int8), so a sample's output
-// depends only on its own input row — never on batch composition, thread
-// count, or shard placement. That property is what lets gp::serve
-// micro-batch segments from many sessions while keeping per-session results
-// bitwise reproducible.
+// Determinism: for each output element the k-accumulation is matmul's
+// fixed serial order (f32) or an exact integer reduction (int8), so a
+// sample's output depends only on its own input row — never on batch
+// composition, thread count, or shard placement. That property is what
+// lets gp::serve micro-batch segments from many sessions while keeping
+// per-session results bitwise reproducible.
 //
 // Fused layers are forward-only: backward() throws, parameters()/buffers()
 // are empty (the folded weights are no longer the training parameters).
@@ -54,13 +54,9 @@ namespace gp::nn {
 /// using its *running* statistics) plus an optional ReLU epilogue.
 class FusedLinear : public Layer {
  public:
-  /// `mode` selects the inference kernel. With kInt8, `preload` (when
-  /// non-null) supplies tables deserialized from a .gpsy quant section —
-  /// validated against the folded shape — otherwise tables are quantized
-  /// from the fresh double-precision fold.
-  FusedLinear(Linear& linear, BatchNorm1d* bn, bool relu,
-              QuantMode mode = QuantMode::kOff,
-              const QuantLinearTables* preload = nullptr);
+  /// `mode` selects the inference kernel; kInt8 quantizes the
+  /// double-precision fold.
+  FusedLinear(Linear& linear, BatchNorm1d* bn, bool relu, QuantMode mode = QuantMode::kOff);
 
   /// infer() with a throwaway workspace.
   Tensor forward(const Tensor& input, bool training) override;
@@ -68,13 +64,7 @@ class FusedLinear : public Layer {
   /// Fused layers are inference-only.
   Tensor backward(const Tensor& grad_output) override;
 
-  bool has_relu() const { return relu_; }
   bool quantized() const { return quant_ == QuantMode::kInt8; }
-  std::size_t in_features() const { return weight_t_.rows(); }
-  std::size_t out_features() const { return weight_t_.cols(); }
-  /// The BN-folded transposed weights — exposed so collect_quant_tables can
-  /// quantize the exact same fold it would get at fuse time.
-  const Tensor& weight_t() const { return weight_t_; }
 
  private:
   /// One row through the integer kernel; `qx_row` (even width, pad 0) and

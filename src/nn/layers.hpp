@@ -178,17 +178,9 @@ class Sequential : public Layer {
   /// afterwards backward() throws and parameters()/buffers() no longer
   /// expose the folded state — fuse only copies that will never be trained,
   /// serialized, or cloned (see nn/fused.hpp). With QuantMode::kInt8 each
-  /// FusedLinear additionally builds (or consumes from `preload`, in layer
-  /// order) symmetric int8 tables and runs the integer kernel; see
-  /// nn/quant.hpp. Defined in fused.cpp.
-  void fuse_inference(QuantMode mode = QuantMode::kOff, QuantTableCursor* preload = nullptr);
-
-  /// Appends one QuantLinearTables per fusable [Linear → BatchNorm1d? →
-  /// ReLU?] run, in the same order fuse_inference would fuse them —
-  /// quantized from the identical double-precision BN fold, so save-time
-  /// collection and fuse-time quantization agree bit-for-bit. Callable on
-  /// the unfused (serialized-mode) stack. Defined in fused.cpp.
-  void collect_quant_tables(std::vector<QuantLinearTables>& out);
+  /// FusedLinear additionally quantizes its fold into symmetric int8 tables
+  /// and runs the integer kernel; see nn/quant.hpp. Defined in fused.cpp.
+  void fuse_inference(QuantMode mode = QuantMode::kOff);
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

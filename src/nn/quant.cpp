@@ -2,12 +2,10 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/serialize.hpp"
 
 namespace gp::nn {
 
@@ -51,73 +49,6 @@ QuantLinearTables quantize_folded(const std::vector<float>& weight_t, std::size_
     }
   }
   return t;
-}
-
-namespace {
-/// Dimension sanity cap for quant sections: no layer in this codebase is
-/// anywhere near 2^20 features wide, so larger values in a stream are
-/// corruption, not data.
-constexpr std::uint32_t kMaxQuantDim = 1u << 20;
-}  // namespace
-
-void save_quant_tables(std::ostream& out, const std::vector<QuantLinearTables>& tables) {
-  BinaryWriter writer(out, "GPQ8");
-  writer.write_u32(static_cast<std::uint32_t>(tables.size()));
-  for (const auto& t : tables) {
-    check_arg(t.scales.size() == t.out, "quant table scales/out mismatch");
-    check_arg(t.qweight.size() == static_cast<std::size_t>(t.in) * t.out,
-              "quant table qweight size mismatch");
-    writer.write_u32(t.in);
-    writer.write_u32(t.out);
-    writer.write_f32_vector(t.scales);
-    writer.write_i8_vector(t.qweight);
-  }
-}
-
-std::vector<QuantLinearTables> load_quant_tables(std::istream& in) {
-  BinaryReader reader(in, "GPQ8");
-  const std::uint32_t count = reader.read_u32();
-  // Each table costs >= 16 header bytes; bound the count before reserving.
-  if (count > 4096) {
-    throw SerializationError("implausible quant table count " + std::to_string(count));
-  }
-  std::vector<QuantLinearTables> tables;
-  tables.reserve(count);
-  for (std::uint32_t idx = 0; idx < count; ++idx) {
-    QuantLinearTables t;
-    t.in = reader.read_u32();
-    t.out = reader.read_u32();
-    if (t.in > kMaxQuantDim || t.out > kMaxQuantDim) {
-      throw SerializationError("implausible quant table dims " + std::to_string(t.in) + "x" +
-                               std::to_string(t.out));
-    }
-    t.scales = reader.read_f32_vector();
-    if (t.scales.size() != t.out) {
-      throw SerializationError("quant table " + std::to_string(idx) + " has " +
-                               std::to_string(t.scales.size()) + " scales for " +
-                               std::to_string(t.out) + " channels");
-    }
-    for (float s : t.scales) {
-      if (!std::isfinite(s) || s < 0.0f) {
-        throw SerializationError("quant table " + std::to_string(idx) +
-                                 " has a non-finite or negative scale");
-      }
-    }
-    t.qweight = reader.read_i8_vector();
-    if (t.qweight.size() != static_cast<std::size_t>(t.in) * t.out) {
-      throw SerializationError("quant table " + std::to_string(idx) + " has " +
-                               std::to_string(t.qweight.size()) + " weights for dims " +
-                               std::to_string(t.in) + "x" + std::to_string(t.out));
-    }
-    for (std::int8_t q : t.qweight) {
-      if (q == std::numeric_limits<std::int8_t>::min()) {
-        throw SerializationError("quant table " + std::to_string(idx) +
-                                 " contains -128 (outside the symmetric int8 range)");
-      }
-    }
-    tables.push_back(std::move(t));
-  }
-  return tables;
 }
 
 }  // namespace gp::nn

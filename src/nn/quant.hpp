@@ -16,19 +16,17 @@
 //       y[j] = bias[j] + float(acc) * (sx * scale_w[j]), then the clamp.
 //
 // Tables are computed at fuse_for_inference() time from the exact
-// double-precision BN-folded weights, or preloaded from a .gpsy quant
-// section (save/load below) — both routes yield identical tables because
-// quantization of identical f32 weights is deterministic.
+// double-precision BN-folded weights; a .gpsy file stores only the f32
+// state they are derived from.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 namespace gp::nn {
 
-/// Inference quantization mode. kOff keeps the f32 fused path (the bitwise
-/// baseline the goldens pin); kInt8 enables the symmetric int8 path.
+/// Inference quantization mode. kOff keeps the f32 fused path; kInt8
+/// enables the symmetric int8 path.
 enum class QuantMode : std::uint8_t { kOff = 0, kInt8 = 1 };
 
 /// GP_QUANT env override: "int8" selects QuantMode::kInt8; empty/unset keeps
@@ -54,23 +52,5 @@ struct QuantLinearTables {
 /// Deterministic: round-to-nearest (lrintf), saturation clamp to [-127, 127].
 QuantLinearTables quantize_folded(const std::vector<float>& weight_t, std::size_t in,
                                   std::size_t out);
-
-/// Cursor over a preloaded table sequence; fuse_inference consumes tables in
-/// layer order and validates shape agreement against the folded weights.
-struct QuantTableCursor {
-  const std::vector<QuantLinearTables>* tables = nullptr;
-  std::size_t next = 0;
-
-  bool exhausted() const { return tables == nullptr || next >= tables->size(); }
-};
-
-/// Serializes a table sequence as a tagged section ("GPQ8") inside a larger
-/// stream. The reader is hardened: counts are validated against remaining
-/// stream bytes, scales must be finite and non-negative, every qweight byte
-/// must lie in [-127, 127] (symmetric range: -128 is rejected), and the
-/// size bookkeeping must be self-consistent — anything else throws
-/// SerializationError, never crashes.
-void save_quant_tables(std::ostream& out, const std::vector<QuantLinearTables>& tables);
-std::vector<QuantLinearTables> load_quant_tables(std::istream& in);
 
 }  // namespace gp::nn

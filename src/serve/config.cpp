@@ -39,8 +39,6 @@ ServeConfig ServeConfig::from_env(ServeConfig base) {
       static_cast<std::size_t>(env_u64("GP_ENROLL_K", base.enroll.k_segments, 1));
   base.enroll.max_candidates = static_cast<std::size_t>(
       env_u64("GP_ENROLL_MAX_CANDIDATES", base.enroll.max_candidates, 1));
-  base.enroll.background =
-      env_u64("GP_ENROLL_BACKGROUND", base.enroll.background ? 1 : 0, 0) != 0;
   return base;
 }
 

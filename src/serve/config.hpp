@@ -50,12 +50,6 @@ struct EnrollConfig {
   /// segment joins the nearest candidate centroid within this distance,
   /// otherwise it founds a new candidate.
   double candidate_radius = 3.5;
-  /// Run fine-tunes on a background thread (GP_ENROLL_BACKGROUND=1). The
-  /// default runs them synchronously at tick close, which keeps enrollment
-  /// outcomes bitwise deterministic in stream position; background mode
-  /// trades that for an unblocked pump loop (artifacts stay identical, the
-  /// publish lands a wall-clock-dependent number of ticks later).
-  bool background = false;
 };
 
 /// Serving-layer knobs. Every field has a GP_SERVE_* environment override
@@ -97,7 +91,7 @@ struct ServeConfig {
   /// snapshot records the mode it was fused with. GP_QUANT (int8|off).
   nn::QuantMode quant = nn::QuantMode::kOff;
   /// Online enrollment (gp::enroll). GP_ENROLL / GP_ENROLL_K /
-  /// GP_ENROLL_MAX_CANDIDATES / GP_ENROLL_BACKGROUND.
+  /// GP_ENROLL_MAX_CANDIDATES.
   EnrollConfig enroll;
 
   /// Applies GP_SERVE_SHARDS / GP_SERVE_BATCH_MAX / GP_SERVE_BATCH_WAIT_US /

@@ -253,24 +253,18 @@ void GesturePrintSystem::save(const std::string& path) {
   // into a typed, quarantinable SerializationError.
   std::ostringstream buf(std::ios::binary);
   {
-    BinaryWriter writer(buf, "GPS2");
+    // f32 state only: int8 tables are derived from it at fuse time
+    // (DESIGN.md §11.2). GPS2 files also stored the tables; load() refuses
+    // them at this tag.
+    BinaryWriter writer(buf, "GPS3");
     writer.write_u8(config_.mode == IdentificationMode::kSerialized ? 1 : 0);
     writer.write_u32(static_cast<std::uint32_t>(num_gestures_));
     writer.write_u32(static_cast<std::uint32_t>(num_users_));
-    // Each model's f32 parameters are followed by its int8 quant section
-    // (GPS2 extension, DESIGN.md §11): precomputed per-channel tables so a
-    // loaded system can fuse straight into the quantized kernel without
-    // retraining-time state. Written unconditionally — int8 tables cost
-    // ~1/4 of the f32 payload and keep the format mode-independent.
     nn::save_parameters(buf, full_state(*gesture_model_));
-    nn::save_quant_tables(buf, gesture_model_->collect_quant_tables());
     writer.write_u32(static_cast<std::uint32_t>(user_models_.size()));
     for (auto& model : user_models_) {
       writer.write_u8(model != nullptr ? 1 : 0);
-      if (model != nullptr) {
-        nn::save_parameters(buf, full_state(*model));
-        nn::save_quant_tables(buf, model->collect_quant_tables());
-      }
+      if (model != nullptr) nn::save_parameters(buf, full_state(*model));
     }
   }
   const std::string blob = buf.str();
@@ -314,7 +308,7 @@ void GesturePrintSystem::load(const std::string& path) {
   }
 
   std::istringstream in(blob, std::ios::binary);
-  BinaryReader reader(in, "GPS2");
+  BinaryReader reader(in, "GPS3");
   const bool serialized = reader.read_u8() == 1;
   if (serialized != (config_.mode == IdentificationMode::kSerialized)) {
     throw SerializationError("identification mode mismatch while loading system");
@@ -327,7 +321,6 @@ void GesturePrintSystem::load(const std::string& path) {
   Rng ginit = rng_.fork();
   gesture_model_ = std::make_unique<GesIDNet>(gnet, ginit);
   nn::load_parameters(in, full_state(*gesture_model_));
-  gesture_model_->set_pending_quant_tables(nn::load_quant_tables(in));
 
   GesIDNetConfig unet = config_.network;
   unet.num_classes = num_users_;
@@ -339,7 +332,6 @@ void GesturePrintSystem::load(const std::string& path) {
     Rng uinit = rng_.fork();
     user_models_[g] = std::make_unique<GesIDNet>(unet, uinit);
     nn::load_parameters(in, full_state(*user_models_[g]));
-    user_models_[g]->set_pending_quant_tables(nn::load_quant_tables(in));
   }
 }
 

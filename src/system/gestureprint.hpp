@@ -169,9 +169,7 @@ class GesturePrintSystem {
   /// not fit/fine_tune/save — gp::serve calls this on the private system
   /// copy inside each ModelSnapshot, never on a caller's live system.
   /// QuantMode::kInt8 selects the symmetric int8 inference kernel
-  /// (nn/quant.hpp); a system restored via load()/try_load() reuses the
-  /// .gpsy quant sections, a freshly fitted one quantizes at fuse time —
-  /// identical tables either way.
+  /// (nn/quant.hpp), quantizing each model's BN fold here.
   void fuse_for_inference(nn::QuantMode mode = nn::QuantMode::kOff);
 
  private:

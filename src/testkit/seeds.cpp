@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "datasets/cache.hpp"
-#include "nn/quant.hpp"
 #include "nn/serialize_nn.hpp"
 #include "pointcloud/io.hpp"
 #include "enroll/buffer.hpp"
@@ -121,19 +120,6 @@ std::string report_json_seed() {
 })";
 }
 
-std::string quant_tables_seed() {
-  Rng rng(0xC0FFEE04ULL, 14);
-  std::vector<nn::QuantLinearTables> tables;
-  for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{6, 4}, {4, 3}}) {
-    std::vector<float> w(in * out);
-    for (float& v : w) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    tables.push_back(nn::quantize_folded(w, in, out));
-  }
-  std::ostringstream out(std::ios::binary);
-  nn::save_quant_tables(out, tables);
-  return out.str();
-}
-
 std::string wire_frame_seed() {
   Rng rng(0xC0FFEE05ULL, 15);
   FrameCloud frame;
@@ -235,7 +221,6 @@ std::vector<std::string> write_corpus(const std::string& dir) {
       {"recording_gprc.bin", recording_seed()},
       {"params_gpnn.bin", params_seed()},
       {"report.json", report_json_seed()},
-      {"quant_gpq8.bin", quant_tables_seed()},
       {"wire_frame_gpwf.bin", wire_frame_seed()},
       {"wire_results_gpwr.bin", wire_results_seed()},
       {"wire_tick_gpwm.bin", wire_tick_seed()},

@@ -2,8 +2,8 @@
 //
 // Each builder produces one small, *valid* payload for a parser under fuzz
 // (see fuzz.hpp): a GPDS dataset cache blob, a GPRC recording, a GPNN
-// parameter file, an obs run-report JSON document, and a GPQ8 int8
-// quant-table section. The builders are
+// parameter file, an obs run-report JSON document, cluster wire messages,
+// an enrollment buffer and a biometric gallery. The builders are
 // deterministic (fixed Rng seeds), so the committed corpus under
 // tests/corpus/ can be regenerated byte-identically with --write-corpus and
 // any drift shows up in git.
@@ -33,10 +33,6 @@ std::vector<nn::Parameter> make_seed_parameters();
 
 /// A REPORT_*.json document emitted by obs::write_run_report_json.
 std::string report_json_seed();
-
-/// GPQ8 payload: a short int8 quant-table sequence (nn::save_quant_tables)
-/// quantized from deterministic weights.
-std::string quant_tables_seed();
 
 /// GPWF wire frame (gp::cluster, DESIGN.md §12): one frame row as it rides
 /// inside a kTick batch.

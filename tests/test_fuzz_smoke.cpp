@@ -14,9 +14,13 @@
 // datasets/cache and pointcloud/io are what keep the allocator quiet here.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,7 +32,6 @@
 #include "datasets/cache.hpp"
 #include "enroll/buffer.hpp"
 #include "health/slo.hpp"
-#include "nn/quant.hpp"
 #include "nn/serialize_nn.hpp"
 #include "obs/json.hpp"
 #include "pointcloud/io.hpp"
@@ -50,7 +53,6 @@ std::vector<std::string> corpus() {
   seeds.push_back(testkit::recording_seed());
   seeds.push_back(testkit::params_seed());
   seeds.push_back(testkit::report_json_seed());
-  seeds.push_back(testkit::quant_tables_seed());
   seeds.push_back(testkit::wire_frame_seed());
   seeds.push_back(testkit::wire_results_seed());
   seeds.push_back(testkit::wire_tick_seed());
@@ -69,6 +71,34 @@ void expect_clean(const testkit::FuzzOutcome& outcome) {
   // At least the matching canonical seed must parse; a target rejecting its
   // own format means the corpus (or the parser) has rotted.
   EXPECT_GT(outcome.accepted, 0u) << "no payload was ever accepted by " << outcome.target;
+}
+
+// The committed corpus is exactly what the seed builders write today: same
+// file set, same bytes. An orphaned seed (its format was retired), a missing
+// one or a builder that drifted from its committed bytes fails here, so the
+// mutants every target sees stay the ones the builders describe.
+TEST(FuzzSmoke, CommittedCorpusMatchesSeedBuilders) {
+  const std::filesystem::path fresh =
+      std::filesystem::temp_directory_path() /
+      ("gp_corpus_check_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(fresh);
+  const std::vector<std::string> written = testkit::write_corpus(fresh.string());
+
+  const auto file_names = [](const std::filesystem::path& dir) {
+    std::set<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.is_regular_file()) names.insert(entry.path().filename().string());
+    }
+    return names;
+  };
+  EXPECT_EQ(file_names(g_corpus_dir), std::set<std::string>(written.begin(), written.end()))
+      << "tests/corpus and the seed builders disagree on the file set; "
+         "regenerate with --write-corpus";
+  // load_corpus_dir reads files in name order, so equal file sets compare
+  // file by file.
+  EXPECT_TRUE(testkit::load_corpus_dir(fresh.string()) == testkit::load_corpus_dir(g_corpus_dir))
+      << "a committed seed differs from its builder; regenerate with --write-corpus";
+  std::filesystem::remove_all(fresh);
 }
 
 TEST(FuzzSmoke, DatasetCacheDecoder) {
@@ -102,21 +132,6 @@ TEST(FuzzSmoke, ModelParameterDecoder) {
         for (auto& p : params) ptrs.push_back(&p);
         std::istringstream in(payload, std::ios::binary);
         nn::load_parameters(in, ptrs);
-      });
-  expect_clean(outcome);
-}
-
-// The GPQ8 quant-table reader behind the .gpsy quant sections (DESIGN.md
-// §11): truncated sections, bit-flipped scale bytes (NaN/negative scales)
-// and out-of-range qweight bytes (-128 is outside the symmetric range) must
-// all surface as SerializationError — never a crash, never an allocation
-// driven by an unvalidated count.
-TEST(FuzzSmoke, QuantTableDecoder) {
-  const auto outcome = testkit::fuzz_target(
-      "nn/load_quant_tables", corpus(),
-      [](const std::string& payload) {
-        std::istringstream in(payload, std::ios::binary);
-        (void)nn::load_quant_tables(in);
       });
   expect_clean(outcome);
 }

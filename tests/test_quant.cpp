@@ -7,16 +7,13 @@
 //  * FusedLinear kInt8 vs the f32 fused kernel on a single layer — error
 //    bounded by the per-element quantization band;
 //  * trained GesIDNet: int8 logits within the pinned parity tolerance of
-//    the f32 fused logits AND argmax equality on every evaluation sample;
-//  * .gpsy save/load parity: tables preloaded from the quant section fuse
-//    to bitwise-identical logits vs tables quantized fresh at fuse time;
-//  * quantized model save/load rejection: fused systems refuse to save.
+//    the f32 fused logits AND argmax equality on every evaluation sample,
+//    both fused from one loaded .gpsy (tables derived at fuse time).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -251,56 +248,6 @@ TEST(QuantParity, TrainedGesIDNetArgmaxEqualAndLogitsWithinTolerance) {
   EXPECT_LE(max_abs_diff, kLogitParityTol)
       << "int8 logits drifted beyond the pinned parity tolerance";
   std::filesystem::remove_all(p.dir);
-}
-
-TEST(QuantParity, PreloadedTablesMatchFreshQuantizationBitwise) {
-  const TrainedPair p = train_and_save("tables");
-
-  // Path A: load from .gpsy → fuse consumes the serialized GPQ8 tables.
-  GesturePrintSystem loaded(p.config);
-  loaded.load(p.model_path);
-  loaded.fuse_for_inference(QuantMode::kInt8);
-
-  // Path B: train an identical system in-process (same seeds end-to-end)
-  // and fuse it without ever serializing — this exercises the
-  // quantize-at-fuse route on the same folded weights.
-  GesturePrintSystem fresh(p.config);
-  fresh.fit(p.dataset, all_indices(p.dataset));
-  fresh.fuse_for_inference(QuantMode::kInt8);
-
-  Rng prep_rng(31);
-  const LabeledSamples labeled =
-      prepare_subset(p.dataset, all_indices(p.dataset), LabelKind::kGesture,
-                     PrepConfig{}, prep_rng);
-  const nn::Tensor a = predict_logits(loaded.gesture_model(), labeled.samples, 8);
-  const nn::Tensor b = predict_logits(fresh.gesture_model(), labeled.samples, 8);
-  ASSERT_EQ(a.rows(), b.rows());
-  EXPECT_TRUE(a.vec() == b.vec())
-      << "preloaded .gpsy tables must fuse to bitwise-identical logits";
-  std::filesystem::remove_all(p.dir);
-}
-
-// ---- quant table stream round-trip ----------------------------------------
-
-TEST(QuantTables, StreamRoundTripIsLossless) {
-  Rng rng(0x0A81, 5);
-  std::vector<QuantLinearTables> tables;
-  for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{24, 32},
-                                {32, 48}, {48, 5}}) {
-    std::vector<float> w(in * out);
-    for (float& v : w) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    tables.push_back(nn::quantize_folded(w, in, out));
-  }
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_quant_tables(buf, tables);
-  const std::vector<QuantLinearTables> back = nn::load_quant_tables(buf);
-  ASSERT_EQ(back.size(), tables.size());
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    EXPECT_EQ(back[i].in, tables[i].in);
-    EXPECT_EQ(back[i].out, tables[i].out);
-    EXPECT_TRUE(back[i].scales == tables[i].scales);
-    EXPECT_TRUE(back[i].qweight == tables[i].qweight);
-  }
 }
 
 }  // namespace

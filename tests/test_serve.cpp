@@ -1,19 +1,23 @@
 // gp::serve tests (DESIGN.md §8): per-session determinism across thread and
 // shard counts, micro-batch composition independence, typed overload
-// shedding with bounded queues, RCU hot-swap audit, fused-vs-unfused
-// inference equivalence, a GP_FAULTS-style soak with zero uncaught
-// exceptions, the event tally agreeing across its three views, and the
-// shared decision path (decide_batch) deciding a batch of many exactly as
-// batches of one.
+// shedding with bounded queues, RCU hot-swap audit, typed refusal of a
+// legacy GPS2 model file, fused-vs-unfused inference equivalence, a
+// GP_FAULTS-style soak with zero uncaught exceptions, the event tally
+// agreeing across its three views, and the shared decision path
+// (decide_batch) deciding a batch of many exactly as batches of one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
@@ -294,6 +298,44 @@ TEST(Serve, FailedPublishKeepsServing) {
   serve::ModelRegistry registry(world().config);
   ASSERT_TRUE(registry.publish_file(world().model_path).has_value());
   EXPECT_FALSE(registry.publish_file(testing::TempDir() + "gp_serve_missing.gpsy"));
+  EXPECT_EQ(registry.version(), 1u);
+  ASSERT_NE(registry.current(), nullptr);
+  EXPECT_EQ(registry.current()->version, 1u);
+}
+
+/// Writes the world model re-tagged with the pre-GPS3 header ("GPS2", the
+/// format that also stored int8 tables) under a valid checksum trailer, so
+/// only the header can refuse it.
+std::string write_gps2_file(const std::string& name) {
+  std::ifstream in(world().model_path, std::ios::binary);
+  std::string blob((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  blob.resize(blob.size() - 8);  // drop the checksum trailer
+  EXPECT_EQ(blob.substr(0, 4), "GPS3");
+  blob.replace(0, 4, "GPS2");
+  const std::uint64_t digest = fnv::hash_string(blob);
+  for (int i = 0; i < 8; ++i) blob.push_back(static_cast<char>((digest >> (8 * i)) & 0xFF));
+  const std::string path = testing::TempDir() + name;
+  std::filesystem::remove(path + ".quarantine");
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << blob;
+  return path;
+}
+
+// A system file from before the int8 tables moved to fuse time is refused
+// at its header, typed: load throws, try_load quarantines, and a publish of
+// it keeps the current snapshot serving.
+TEST(Serve, LegacyGps2FileIsRefusedTyped) {
+  const std::string path = write_gps2_file("gp_serve_legacy.gpsy");
+  GesturePrintSystem system(world().config);
+  EXPECT_THROW(system.load(path), SerializationError);
+
+  EXPECT_FALSE(system.try_load(path));
+  EXPECT_FALSE(system.fitted());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(path + ".quarantine"));
+
+  serve::ModelRegistry registry(world().config);
+  ASSERT_TRUE(registry.publish_file(world().model_path).has_value());
+  EXPECT_FALSE(registry.publish_file(write_gps2_file("gp_serve_legacy.gpsy")).has_value());
   EXPECT_EQ(registry.version(), 1u);
   ASSERT_NE(registry.current(), nullptr);
   EXPECT_EQ(registry.current()->version, 1u);

@@ -7,9 +7,15 @@
 //  * GRA >= 96% everywhere, GP comparable to or better than the baselines;
 //  * serialized-mode UIA >= 97% everywhere; parallel mode within ~4% below;
 //  * metrics stay high as the user scale grows (32 users on mTransSee).
+//
+// After the table the bench checks three claims on every row they cover —
+// (1) GP-S GRA >= the baseline's, (2) UIA-S above 1/users, (3) UIA-S >=
+// UIA-P — prints one PASS/FAIL line each and exits 1 if any fails.
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baselines/edgeconv.hpp"
 #include "baselines/pointnet.hpp"
@@ -38,6 +44,30 @@ struct BaselineResult {
   std::string name;
   double gra = 0.0;
 };
+
+/// What the claim checks read from one scenario; NaN marks a part not run.
+struct RowResult {
+  std::string label;
+  std::size_t users = 0;
+  double gra = 0.0;
+  double baseline_gra = 0.0;
+  double uia_s = 0.0;
+  double uia_p = 0.0;
+};
+
+/// Prints one PASS/FAIL line naming the rows on which `violates` holds;
+/// returns whether the claim held on every row.
+template <typename Violates>
+bool check_claim(const std::string& claim, const std::vector<RowResult>& rows, Violates violates) {
+  std::string failing;
+  for (const RowResult& row : rows) {
+    if (violates(row)) failing += (failing.empty() ? "" : ", ") + row.label;
+  }
+  std::cout << (failing.empty() ? "PASS: " : "FAIL: ") << claim;
+  if (!failing.empty()) std::cout << " (fails on " << failing << ")";
+  std::cout << "\n";
+  return failing.empty();
+}
 
 // Trains one baseline network on the gesture-recognition task only (the
 // paper compares SOTA methods on recognition; they have no ID capability).
@@ -118,6 +148,7 @@ int main() {
                  "uiauc", "eer", "baseline", "baseline_gra"});
 
   Stopwatch total;
+  std::vector<RowResult> rows;
   for (const auto& scenario : scenarios) {
     Stopwatch sw;
     const Dataset dataset = generate_dataset_cached(scenario.spec);
@@ -162,6 +193,8 @@ int main() {
                    bench::cell(eval_s.uif1), bench::cell(eval_s.uiauc),
                    bench::cell(eval_s.user_roc.eer()), baseline.name,
                    bench::cell(baseline.gra)});
+    rows.push_back({scenario.label, dataset.num_users(), eval_s.gra, baseline.gra, eval_s.uia,
+                    eval_p.uia});
     std::cout << "[" << scenario.label << " done in " << Table::num(sw.elapsed_seconds(), 1)
               << "s: GRA=" << Table::pct(eval_s.gra) << " UIA-S=" << Table::pct(eval_s.uia)
               << " UIA-P=" << Table::pct(eval_p.uia) << "]\n";
@@ -169,9 +202,18 @@ int main() {
 
   std::cout << '\n';
   table.print();
-  std::cout << "\nPaper shape to verify: GP GRA comparable to SOTA baselines; serialized UIA\n"
-               "high across all datasets and >= parallel UIA; metrics survive the 32-user\n"
-               "scale (mTransSee). Total "
-            << Table::num(total.elapsed_seconds(), 1) << "s. CSV: " << csv.path() << "\n";
-  return 0;
+  std::cout << "\nTotal " << Table::num(total.elapsed_seconds(), 1) << "s. CSV: " << csv.path()
+            << "\n\nPaper shape checks:\n";
+  // Rows without a baseline or a parallel run are outside claims (1)/(3).
+  bool ok = check_claim("(1) GP-S GRA >= the baseline recogniser's GRA", rows,
+                        [](const RowResult& r) {
+                          return !std::isnan(r.baseline_gra) && r.gra < r.baseline_gra;
+                        });
+  ok &= check_claim("(2) UIA-S above the 1/users chance level", rows, [](const RowResult& r) {
+    return !(r.uia_s > 1.0 / static_cast<double>(r.users));
+  });
+  ok &= check_claim("(3) UIA-S >= UIA-P", rows, [](const RowResult& r) {
+    return !std::isnan(r.uia_p) && r.uia_s < r.uia_p;
+  });
+  return ok ? 0 : 1;
 }

@@ -39,9 +39,9 @@ run_asan() {
   # the failover path replays serialized session state — both are
   # memory-safety surfaces — while the fork()ed single-threaded workers give
   # TSan nothing to see and are kept out of its lane.
-  # enroll rides asan: the GPEB/GPBG readers parse untrusted bytes and the
-  # buffered-evidence clouds move through take()/fine-tune ownership handoffs
-  # — lifetime bugs there are ASan's department.
+  # enroll rides asan: the buffered-evidence clouds move through
+  # take()/fine-tune ownership handoffs — lifetime bugs there are ASan's
+  # department.
   (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" -L 'fuzz-smoke|obs-smoke|fault|mem|gemm|quant|cluster|enroll')
 }
 

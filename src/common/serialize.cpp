@@ -25,7 +25,6 @@ void BinaryWriter::write_u8(std::uint8_t v) { write_pod(out_, v); }
 void BinaryWriter::write_u32(std::uint32_t v) { write_pod(out_, v); }
 void BinaryWriter::write_u64(std::uint64_t v) { write_pod(out_, v); }
 void BinaryWriter::write_i32(std::int32_t v) { write_pod(out_, v); }
-void BinaryWriter::write_f32(float v) { write_pod(out_, v); }
 void BinaryWriter::write_f64(double v) { write_pod(out_, v); }
 
 void BinaryWriter::write_string(const std::string& s) {
@@ -38,18 +37,6 @@ void BinaryWriter::write_f32_vector(const std::vector<float>& v) {
   write_u64(v.size());
   out_.write(reinterpret_cast<const char*>(v.data()),
              static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-
-void BinaryWriter::write_f64_vector(const std::vector<double>& v) {
-  write_u64(v.size());
-  out_.write(reinterpret_cast<const char*>(v.data()),
-             static_cast<std::streamsize>(v.size() * sizeof(double)));
-}
-
-void BinaryWriter::write_u32_vector(const std::vector<std::uint32_t>& v) {
-  write_u64(v.size());
-  out_.write(reinterpret_cast<const char*>(v.data()),
-             static_cast<std::streamsize>(v.size() * sizeof(std::uint32_t)));
 }
 
 BinaryReader::BinaryReader(std::istream& in, const std::string& expected_tag) : in_(in) {
@@ -126,11 +113,6 @@ std::int32_t BinaryReader::read_i32() {
   read_raw(&v, sizeof(v));
   return v;
 }
-float BinaryReader::read_f32() {
-  float v = 0;
-  read_raw(&v, sizeof(v));
-  return v;
-}
 double BinaryReader::read_f64() {
   double v = 0;
   read_raw(&v, sizeof(v));
@@ -153,20 +135,6 @@ std::vector<float> BinaryReader::read_f32_vector() {
   const std::uint64_t n = read_count(sizeof(float), "f32 vector");
   std::vector<float> v(static_cast<std::size_t>(n));
   if (n > 0) read_raw(v.data(), static_cast<std::size_t>(n) * sizeof(float));
-  return v;
-}
-
-std::vector<double> BinaryReader::read_f64_vector() {
-  const std::uint64_t n = read_count(sizeof(double), "f64 vector");
-  std::vector<double> v(static_cast<std::size_t>(n));
-  if (n > 0) read_raw(v.data(), static_cast<std::size_t>(n) * sizeof(double));
-  return v;
-}
-
-std::vector<std::uint32_t> BinaryReader::read_u32_vector() {
-  const std::uint64_t n = read_count(sizeof(std::uint32_t), "u32 vector");
-  std::vector<std::uint32_t> v(static_cast<std::size_t>(n));
-  if (n > 0) read_raw(v.data(), static_cast<std::size_t>(n) * sizeof(std::uint32_t));
   return v;
 }
 

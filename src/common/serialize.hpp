@@ -26,12 +26,9 @@ class BinaryWriter {
   void write_u32(std::uint32_t v);
   void write_u64(std::uint64_t v);
   void write_i32(std::int32_t v);
-  void write_f32(float v);
   void write_f64(double v);
   void write_string(const std::string& s);
   void write_f32_vector(const std::vector<float>& v);
-  void write_f64_vector(const std::vector<double>& v);
-  void write_u32_vector(const std::vector<std::uint32_t>& v);
 
  private:
   std::ostream& out_;
@@ -52,12 +49,9 @@ class BinaryReader {
   std::uint32_t read_u32();
   std::uint64_t read_u64();
   std::int32_t read_i32();
-  float read_f32();
   double read_f64();
   std::string read_string();
   std::vector<float> read_f32_vector();
-  std::vector<double> read_f64_vector();
-  std::vector<std::uint32_t> read_u32_vector();
 
   /// Reads a u64 element count and validates that `count * min_bytes_per_elem`
   /// bytes could still be present in the stream (plus a hard sanity cap for

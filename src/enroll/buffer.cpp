@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
-#include <ostream>
 
 #include "common/error.hpp"
-#include "common/serialize.hpp"
 
 namespace gp::enroll {
 
@@ -114,143 +111,6 @@ std::size_t EnrollmentBuffer::total_segments() const {
   std::size_t total = 0;
   for (const Candidate& c : candidates_) total += c.segments.size();
   return total;
-}
-
-namespace {
-
-void write_stats_array(BinaryWriter& w, const BiometricStats& s) {
-  std::vector<double> v(s.begin(), s.end());
-  w.write_f64_vector(v);
-}
-
-BiometricStats read_stats_array(BinaryReader& r) {
-  const std::vector<double> v = r.read_f64_vector();
-  if (v.size() != kBiometricDims) {
-    throw SerializationError("enrollment descriptor has wrong dimension");
-  }
-  BiometricStats s{};
-  std::copy(v.begin(), v.end(), s.begin());
-  return s;
-}
-
-}  // namespace
-
-void EnrollmentBuffer::save(std::ostream& out, std::uint64_t params_fingerprint) const {
-  BinaryWriter w(out, "GPEB");
-  w.write_u64(params_fingerprint);
-  w.write_u64(config_.max_candidates);
-  w.write_u64(config_.buffer_cap);
-  w.write_f64(config_.candidate_radius);
-  w.write_u64(next_id_);
-  w.write_u64(stats_.admitted);
-  w.write_u64(stats_.founded);
-  w.write_u64(stats_.evicted_segments);
-  w.write_u64(stats_.evicted_candidates);
-  w.write_u64(candidates_.size());
-  for (const Candidate& c : candidates_) {
-    w.write_u64(c.id);
-    w.write_u64(c.admitted);
-    write_stats_array(w, c.centroid);
-    w.write_u64(c.segments.size());
-    for (const EnrollObservation& obs : c.segments) {
-      w.write_u64(obs.session_id);
-      w.write_u64(obs.ordinal);
-      w.write_i32(obs.gesture);
-      write_stats_array(w, obs.raw);
-      write_stats_array(w, obs.normalized);
-      w.write_u64(obs.cloud.num_frames);
-      w.write_i32(obs.cloud.first_frame);
-      w.write_f64(obs.cloud.duration_s);
-      w.write_u8(static_cast<std::uint8_t>(obs.cloud.quality));
-      w.write_u64(obs.cloud.points.size());
-      for (const RadarPoint& p : obs.cloud.points) {
-        w.write_f64(p.position.x);
-        w.write_f64(p.position.y);
-        w.write_f64(p.position.z);
-        w.write_f64(p.velocity);
-        w.write_f64(p.snr_db);
-        w.write_i32(p.frame);
-      }
-    }
-  }
-}
-
-EnrollmentBuffer EnrollmentBuffer::load(std::istream& in, std::uint64_t expected_fingerprint) {
-  BinaryReader r(in, "GPEB");
-  const std::uint64_t fingerprint = r.read_u64();
-  if (fingerprint != expected_fingerprint) {
-    // The buffered observations are z-scored under a specific gallery
-    // calibration; mixing calibrations silently would corrupt the clustering
-    // metric, so this is typed corruption, not a soft mismatch.
-    throw SerializationError("enrollment buffer params fingerprint mismatch");
-  }
-  Config config;
-  config.max_candidates = static_cast<std::size_t>(r.read_u64());
-  config.buffer_cap = static_cast<std::size_t>(r.read_u64());
-  config.candidate_radius = r.read_f64();
-  if (config.max_candidates < 1 || config.max_candidates > 4096 || config.buffer_cap < 1 ||
-      config.buffer_cap > 65536 || !(config.candidate_radius > 0.0)) {
-    throw SerializationError("enrollment buffer config out of range");
-  }
-  EnrollmentBuffer buffer(config);
-  buffer.next_id_ = r.read_u64();
-  buffer.stats_.admitted = r.read_u64();
-  buffer.stats_.founded = r.read_u64();
-  buffer.stats_.evicted_segments = r.read_u64();
-  buffer.stats_.evicted_candidates = r.read_u64();
-
-  const std::uint64_t candidate_count = r.read_count(32, "enrollment candidates");
-  if (candidate_count > config.max_candidates) {
-    throw SerializationError("enrollment buffer holds more candidates than its cap");
-  }
-  for (std::uint64_t i = 0; i < candidate_count; ++i) {
-    Candidate c;
-    c.id = r.read_u64();
-    if (c.id == 0 || c.id >= buffer.next_id_) {
-      throw SerializationError("enrollment candidate id out of range");
-    }
-    c.admitted = r.read_u64();
-    c.centroid = read_stats_array(r);
-    const std::uint64_t segment_count = r.read_count(64, "enrollment segments");
-    if (segment_count > config.buffer_cap) {
-      throw SerializationError("enrollment candidate holds more segments than its cap");
-    }
-    c.segments.reserve(static_cast<std::size_t>(segment_count));
-    for (std::uint64_t s = 0; s < segment_count; ++s) {
-      EnrollObservation obs;
-      obs.session_id = r.read_u64();
-      obs.ordinal = r.read_u64();
-      obs.gesture = r.read_i32();
-      if (obs.gesture < 0 || obs.gesture > 4096) {
-        throw SerializationError("enrollment observation gesture out of range");
-      }
-      obs.raw = read_stats_array(r);
-      obs.normalized = read_stats_array(r);
-      obs.cloud.num_frames = static_cast<std::size_t>(r.read_u64());
-      obs.cloud.first_frame = r.read_i32();
-      obs.cloud.duration_s = r.read_f64();
-      const std::uint8_t quality = r.read_u8();
-      if (quality > static_cast<std::uint8_t>(SegmentQuality::kEmpty)) {
-        throw SerializationError("enrollment observation quality out of range");
-      }
-      obs.cloud.quality = static_cast<SegmentQuality>(quality);
-      const std::uint64_t point_count = r.read_count(44, "enrollment cloud points");
-      obs.cloud.points.reserve(static_cast<std::size_t>(point_count));
-      for (std::uint64_t p = 0; p < point_count; ++p) {
-        RadarPoint point;
-        point.position.x = r.read_f64();
-        point.position.y = r.read_f64();
-        point.position.z = r.read_f64();
-        point.velocity = r.read_f64();
-        point.snr_db = r.read_f64();
-        point.frame = r.read_i32();
-        obs.cloud.points.push_back(point);
-      }
-      c.segments.push_back(std::move(obs));
-    }
-    buffer.candidates_.push_back(std::move(c));
-  }
-  return buffer;
 }
 
 }  // namespace gp::enroll

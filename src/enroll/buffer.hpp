@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "system/open_set.hpp"
@@ -94,15 +93,6 @@ class EnrollmentBuffer {
   };
   const Stats& stats() const { return stats_; }
   const Config& config() const { return config_; }
-
-  /// Round-trips the buffer state ("GPEB"). `params_fingerprint` binds the
-  /// saved z-space observations to the gallery calibration that produced
-  /// them: load() rejects a blob whose fingerprint does not match the
-  /// caller's current calibration (typed SerializationError) — restoring
-  /// buffers against a different model/gallery would cluster in the wrong
-  /// metric space.
-  void save(std::ostream& out, std::uint64_t params_fingerprint) const;
-  static EnrollmentBuffer load(std::istream& in, std::uint64_t expected_fingerprint);
 
  private:
   Config config_;

@@ -1,13 +1,11 @@
 #include "enroll/enroll.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <exception>
 #include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "exec/exec.hpp"
 #include "obs/metrics.hpp"
@@ -129,47 +127,45 @@ void EnrollmentService::trigger_ready(std::uint64_t tick) {
 
     // Run inline at the tick barrier. Several ready candidates enroll
     // back-to-back, each fine-tune rebased on the previous publish.
-    FineTuneJob job;
-    job.candidate_id = ready->id;
-    job.seq = ++enroll_seq_;
-    job.trigger_tick = tick;
-    job.evidence = buffer_.take(ready->id);
-    for (const EnrollObservation& obs : job.evidence) {
-      if (job.first_staged_ns == 0 || obs.staged_ns < job.first_staged_ns) {
-        job.first_staged_ns = obs.staged_ns;
-      }
-    }
-    {
+    if (!enroll_candidate(ready->id, tick)) {
+      GP_COUNTER_ADD("gp.enroll.fine_tune.failed", 1);
       std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.fine_tunes_started;
+      ++stats_.fine_tunes_failed;
     }
-    commit_outcome(run_fine_tune(std::move(job)), tick);
   }
 }
 
-EnrollmentService::FineTuneOutcome EnrollmentService::run_fine_tune(FineTuneJob job) {
+bool EnrollmentService::enroll_candidate(std::uint64_t candidate_id, std::uint64_t tick) {
+  const std::uint64_t seq = ++enroll_seq_;
+  // The evidence is consumed whether or not the fine-tune succeeds; a
+  // candidate that keeps streaming re-accumulates.
+  const std::vector<EnrollObservation> evidence = buffer_.take(candidate_id);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++stats_.fine_tunes_started;
+  }
   GP_COUNTER_ADD("gp.enroll.fine_tune.started", 1);
-  FineTuneOutcome outcome;
-  outcome.job = std::move(job);
+
+  const std::string artifact = config_.publish_dir + "/enroll_v" + std::to_string(seq) + ".gpsy";
+  int new_user = -1;
   try {
     GesturePrintSystem sys(registry_->config());
     if (!sys.try_load(base_model_path_)) {
-      log_warn() << "enroll: fine-tune " << outcome.job.seq << " could not load base model '"
+      log_warn() << "enroll: fine-tune " << seq << " could not load base model '"
                  << base_model_path_ << "'";
-      return outcome;
+      return false;
     }
-    const int new_user =
-        sys.widen_users(exec::child_seed(config_.seed, outcome.job.seq));
+    new_user = sys.widen_users(exec::child_seed(config_.seed, seq));
 
     // Adaptation set: the calibrated replay negatives plus the candidate's
     // buffered evidence labelled as the new class. The synthetic profile is
     // a placeholder consistent with the widened label space — training only
     // reads the recorded clouds.
     Dataset adapt = replay_;
-    Rng profile_rng(exec::child_seed(config_.seed ^ 0x9E3779B97F4A7C15ULL, outcome.job.seq));
+    Rng profile_rng(exec::child_seed(config_.seed ^ 0x9E3779B97F4A7C15ULL, seq));
     adapt.users.push_back(UserProfile::sample(new_user, profile_rng));
     adapt.spec.num_users = adapt.users.size();
-    for (const EnrollObservation& obs : outcome.job.evidence) {
+    for (const EnrollObservation& obs : evidence) {
       GestureSample sample;
       sample.cloud = obs.cloud;
       sample.gesture = obs.gesture;
@@ -179,63 +175,43 @@ EnrollmentService::FineTuneOutcome EnrollmentService::run_fine_tune(FineTuneJob 
     std::vector<std::size_t> indices(adapt.samples.size());
     for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
     sys.fine_tune_user_heads(adapt, indices, config_.fine_tune_epochs, config_.fine_tune_lr);
-
-    const std::string artifact =
-        config_.publish_dir + "/enroll_v" + std::to_string(outcome.job.seq) + ".gpsy";
     sys.save(artifact);
-    outcome.ok = true;
-    outcome.user_id = new_user;
-    outcome.artifact = artifact;
   } catch (const std::exception& e) {
-    log_warn() << "enroll: fine-tune " << outcome.job.seq << " failed: " << e.what();
-    outcome.ok = false;
+    log_warn() << "enroll: fine-tune " << seq << " failed: " << e.what();
+    return false;
   }
-  return outcome;
-}
-
-void EnrollmentService::commit_outcome(FineTuneOutcome outcome, std::uint64_t tick) {
-  if (!outcome.ok) {
-    GP_COUNTER_ADD("gp.enroll.fine_tune.failed", 1);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.fine_tunes_failed;
-    return;  // evidence is consumed; the candidate re-accumulates if they return
-  }
-  const std::optional<std::uint64_t> version =
-      registry_->publish_file(outcome.artifact, config_.quant);
-  if (!version.has_value()) {
-    GP_COUNTER_ADD("gp.enroll.fine_tune.failed", 1);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.fine_tunes_failed;
-    return;
-  }
+  const std::optional<std::uint64_t> version = registry_->publish_file(artifact, config_.quant);
+  if (!version.has_value()) return false;
 
   // The registry serves the widened head now; grow the novelty gallery so
   // the enrolled person's future segments pass the gate, and rebase the next
   // fine-tune on this artifact so enrollments compose.
-  for (const EnrollObservation& obs : outcome.job.evidence) {
+  std::uint64_t first_staged_ns = 0;
+  for (const EnrollObservation& obs : evidence) {
     gallery_.enroll_sample(obs.gesture, obs.raw);
+    if (first_staged_ns == 0 || obs.staged_ns < first_staged_ns) first_staged_ns = obs.staged_ns;
   }
-  base_model_path_ = outcome.artifact;
+  base_model_path_ = artifact;
 
   GP_COUNTER_ADD("gp.enroll.published", 1);
-  if (outcome.job.first_staged_ns != 0) {
-    const double ms =
-        static_cast<double>(monotonic_ns() - outcome.job.first_staged_ns) / 1e6;
+  if (first_staged_ns != 0) {
+    const double ms = static_cast<double>(monotonic_ns() - first_staged_ns) / 1e6;
     static obs::Histogram& to_live = obs::histogram("gp.enroll.to_live_ms");
     to_live.observe(ms);
   }
 
   EnrolledUser record;
-  record.user_id = outcome.user_id;
-  record.candidate_id = outcome.job.candidate_id;
+  record.user_id = new_user;
+  record.candidate_id = candidate_id;
   record.model_version = *version;
   record.tick = tick;
-  record.artifact = outcome.artifact;
+  record.artifact = artifact;
 
   std::lock_guard<std::mutex> lk(mu_);
   ++stats_.users_enrolled;
   stats_.last_publish_version = *version;
   enrolled_.push_back(std::move(record));
+  return true;
 }
 
 EnrollmentService::Stats EnrollmentService::stats() const {
@@ -246,17 +222,6 @@ EnrollmentService::Stats EnrollmentService::stats() const {
 std::vector<EnrollmentService::EnrolledUser> EnrollmentService::enrolled() const {
   std::lock_guard<std::mutex> lk(mu_);
   return enrolled_;
-}
-
-std::uint64_t EnrollmentService::params_fingerprint() const {
-  std::uint64_t h = fnv::kOffsetBasis;
-  h = fnv::accumulate_value(h, gallery_.calibrated() ? 1u : 0u);
-  h = fnv::accumulate_value(h, std::bit_cast<std::uint64_t>(gallery_.threshold()));
-  h = fnv::accumulate_value(h, std::bit_cast<std::uint64_t>(gallery_.config().target_false_rejection));
-  h = fnv::accumulate_value(h, static_cast<std::uint64_t>(gallery_.config().k_neighbors));
-  for (double v : gallery_.z_mean()) h = fnv::accumulate_value(h, std::bit_cast<std::uint64_t>(v));
-  for (double v : gallery_.z_stddev()) h = fnv::accumulate_value(h, std::bit_cast<std::uint64_t>(v));
-  return h;
 }
 
 }  // namespace gp::enroll

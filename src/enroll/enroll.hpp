@@ -105,32 +105,15 @@ class EnrollmentService final : public serve::EnrollmentHook {
   const EnrollmentBuffer& buffer() const { return buffer_; }
   bool calibrated() const { return gallery_.calibrated(); }
   const EnrollmentServiceConfig& config() const { return config_; }
-  /// FNV-1a over the gallery calibration (z-stats + threshold + config):
-  /// the fingerprint EnrollmentBuffer blobs are bound to.
-  std::uint64_t params_fingerprint() const;
 
  private:
-  struct FineTuneJob {
-    std::uint64_t candidate_id = 0;
-    std::uint64_t seq = 0;               ///< enrollment sequence number
-    std::uint64_t trigger_tick = 0;
-    std::uint64_t first_staged_ns = 0;   ///< earliest evidence staging time
-    std::vector<EnrollObservation> evidence;
-  };
-  struct FineTuneOutcome {
-    FineTuneJob job;
-    bool ok = false;
-    int user_id = -1;      ///< widened class id (valid when ok)
-    std::string artifact;  ///< saved .gpsy (valid when ok)
-  };
-
-  /// Trains + saves the widened system (no registry/gallery mutation).
-  FineTuneOutcome run_fine_tune(FineTuneJob job);
-  /// Publishes the artifact and applies gallery/bookkeeping mutations.
-  /// close_tick() context only.
-  void commit_outcome(FineTuneOutcome outcome, std::uint64_t tick);
   /// Scans for K-ready candidates and runs their fine-tunes.
   void trigger_ready(std::uint64_t tick);
+  /// Takes the candidate's evidence, widens the base model's user heads,
+  /// fine-tunes, saves enroll_v<seq>.gpsy, publishes it and records the
+  /// enrolled user. Returns false when any step fails (the evidence is
+  /// consumed either way); trigger_ready() counts the failure.
+  bool enroll_candidate(std::uint64_t candidate_id, std::uint64_t tick);
 
   EnrollmentServiceConfig config_;
   serve::ModelRegistry* registry_;

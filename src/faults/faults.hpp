@@ -194,7 +194,6 @@ class FaultInjector {
     std::uint64_t points_removed = 0;
   };
   const Counts& counts() const { return counts_; }
-  void reset_counts() { counts_ = Counts{}; }
 
  private:
   FrameCloud corrupt(const FrameCloud& frame, const FrameFault& fault);

@@ -14,14 +14,6 @@ FrameCloud RadarSensor::observe_frame(const SceneFrame& frame, Rng& rng) const {
   return fast_process_frame(config_, fast_config_, frame, rng);
 }
 
-void RadarSensor::observe_frame_into(const SceneFrame& frame, Rng& rng, FrameCloud& out) const {
-  if (backend_ == RadarBackend::kFullChain) {
-    out = process_frame(config_, frame, rng);  // full chain stays owning
-    return;
-  }
-  fast_process_frame_into(config_, fast_config_, frame, rng, out);
-}
-
 FrameSequence RadarSensor::observe(const SceneSequence& scene, Rng& rng) const {
   if (backend_ == RadarBackend::kFullChain) return process_scene(config_, scene, rng);
   return fast_process_scene(config_, fast_config_, scene, rng);

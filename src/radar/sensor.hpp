@@ -26,10 +26,6 @@ class RadarSensor {
   /// Observes a single frame.
   FrameCloud observe_frame(const SceneFrame& frame, Rng& rng) const;
 
-  /// Buffer-reusing variant: identical frame written into `out`, recycling
-  /// its point storage across frames (the streaming producer path).
-  void observe_frame_into(const SceneFrame& frame, Rng& rng, FrameCloud& out) const;
-
   const RadarConfig& config() const { return config_; }
   RadarBackend backend() const { return backend_; }
 

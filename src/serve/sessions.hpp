@@ -124,7 +124,6 @@ class StreamSession {
   void load_state(std::istream& in);
 
   std::uint64_t id() const { return id_; }
-  std::uint64_t segments_completed() const { return ordinal_; }
 
  private:
   void drain_completed(std::uint64_t tick, std::vector<SegmentPtr>& out,

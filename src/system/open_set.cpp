@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
-#include <ostream>
 
 #include "common/error.hpp"
 #include "common/math_utils.hpp"
-#include "common/serialize.hpp"
 
 namespace gp {
 
@@ -174,74 +171,6 @@ void BiometricGallery::calibrate(const std::vector<BiometricStats>& raw,
   // distances rejects ~FRR of genuine probes.
   threshold_ = quantile(distances, 1.0 - config_.target_false_rejection);
   calibrated_ = true;
-}
-
-void BiometricGallery::save(std::ostream& out) const {
-  BinaryWriter writer(out, "GPBG");
-  writer.write_f64(config_.target_false_rejection);
-  writer.write_u64(config_.k_neighbors);
-  writer.write_u8(calibrated_ ? 1 : 0);
-  writer.write_f64(threshold_);
-  std::vector<double> stats(kBiometricDims);
-  std::copy(mean_.begin(), mean_.end(), stats.begin());
-  writer.write_f64_vector(stats);
-  std::copy(stddev_.begin(), stddev_.end(), stats.begin());
-  writer.write_f64_vector(stats);
-  writer.write_u64(gallery_.size());
-  for (const auto& [gesture, samples] : gallery_) {
-    writer.write_i32(gesture);
-    writer.write_u64(samples.size());
-    for (const auto& s : samples) {
-      std::copy(s.begin(), s.end(), stats.begin());
-      writer.write_f64_vector(stats);
-    }
-  }
-}
-
-BiometricGallery BiometricGallery::load(std::istream& in) {
-  BinaryReader reader(in, "GPBG");
-  OpenSetConfig config;
-  config.target_false_rejection = reader.read_f64();
-  const std::uint64_t k = reader.read_u64();
-  if (!(config.target_false_rejection > 0.0 && config.target_false_rejection < 0.5)) {
-    throw SerializationError("gallery FRR out of range");
-  }
-  if (k < 1 || k > 1024) throw SerializationError("gallery k_neighbors out of range");
-  config.k_neighbors = static_cast<std::size_t>(k);
-  BiometricGallery gallery(config);
-  gallery.calibrated_ = reader.read_u8() != 0;
-  gallery.threshold_ = reader.read_f64();
-
-  const auto read_stats = [&reader]() {
-    const std::vector<double> v = reader.read_f64_vector();
-    if (v.size() != kBiometricDims) {
-      throw SerializationError("gallery descriptor has wrong dimension");
-    }
-    BiometricStats s{};
-    std::copy(v.begin(), v.end(), s.begin());
-    return s;
-  };
-  gallery.mean_ = read_stats();
-  gallery.stddev_ = read_stats();
-  for (std::size_t d = 0; d < kBiometricDims; ++d) {
-    if (!(gallery.stddev_[d] > 0.0)) {
-      throw SerializationError("gallery stddev must be positive");
-    }
-  }
-
-  // Each gesture entry holds at least an i32 gesture id + u64 count; each
-  // descriptor at least a length prefix + 12 doubles.
-  const std::uint64_t num_gestures = reader.read_count(12, "gallery gestures");
-  for (std::uint64_t g = 0; g < num_gestures; ++g) {
-    const int gesture = reader.read_i32();
-    if (gesture < 0 || gesture > 4096) throw SerializationError("gallery gesture id out of range");
-    const std::uint64_t count =
-        reader.read_count(8 + kBiometricDims * sizeof(double), "gallery descriptors");
-    auto& samples = gallery.gallery_[gesture];
-    samples.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) samples.push_back(read_stats());
-  }
-  return gallery;
 }
 
 OpenSetIdentifier::OpenSetIdentifier(GesturePrintSystem& system, OpenSetConfig config)

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <iosfwd>
 #include <map>
 #include <vector>
 
@@ -45,8 +44,8 @@ using BiometricStats = std::array<double, kBiometricDims>;
 BiometricStats biometric_stats(const GestureCloud& cloud);
 
 /// Per-gesture gallery of z-scored biometric descriptors with a calibrated
-/// novelty threshold. Pure value type: no model reference, copyable,
-/// serializable ("GPBG"), and incrementally growable — `enroll_sample`
+/// novelty threshold. Pure value type: no model reference, copyable, and
+/// incrementally growable — `enroll_sample`
 /// inserts new descriptors under the *frozen* calibration z-statistics so
 /// the novelty geometry of already-enrolled users never shifts.
 class BiometricGallery {
@@ -82,17 +81,8 @@ class BiometricGallery {
   double threshold() const { return threshold_; }
   bool calibrated() const { return calibrated_; }
   const OpenSetConfig& config() const { return config_; }
-  /// The frozen calibration z-statistics (gp::enroll fingerprints these to
-  /// bind persisted buffers to the calibration that z-scored them).
-  const BiometricStats& z_mean() const { return mean_; }
-  const BiometricStats& z_stddev() const { return stddev_; }
   /// Total descriptors across all gestures.
   std::size_t size() const;
-
-  /// Round-trips the calibrated gallery ("GPBG" tag, hardened reader path;
-  /// throws SerializationError on corruption).
-  void save(std::ostream& out) const;
-  static BiometricGallery load(std::istream& in);
 
  private:
   OpenSetConfig config_;

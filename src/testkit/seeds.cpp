@@ -9,10 +9,7 @@
 #include "common/rng.hpp"
 #include "datasets/cache.hpp"
 #include "nn/serialize_nn.hpp"
-#include "pointcloud/io.hpp"
-#include "enroll/buffer.hpp"
 #include "serve/config.hpp"
-#include "system/open_set.hpp"
 
 namespace gp::testkit {
 
@@ -60,22 +57,6 @@ std::string dataset_seed() {
   }
   std::ostringstream out(std::ios::binary);
   write_dataset(out, dataset);
-  return out.str();
-}
-
-std::string recording_seed() {
-  Rng rng(0xC0FFEE02ULL, 12);
-  FrameSequence frames;
-  for (int f = 0; f < 5; ++f) {
-    FrameCloud frame;
-    frame.frame_index = f;
-    frame.timestamp = 0.1 * f;
-    const int n = 2 + (f % 3);
-    for (int i = 0; i < n; ++i) frame.points.push_back(seed_point(rng, f));
-    frames.push_back(std::move(frame));
-  }
-  std::ostringstream out(std::ios::binary);
-  save_recording(out, frames);
   return out.str();
 }
 
@@ -168,65 +149,16 @@ std::string wire_tick_reply_seed() {
   return cluster::encode_message(msg);
 }
 
-std::string enroll_buffer_seed() {
-  Rng rng(0xC0FFEE07ULL, 21);
-  enroll::EnrollmentBuffer::Config config;
-  config.max_candidates = 3;
-  config.buffer_cap = 4;
-  config.candidate_radius = 2.0;
-  enroll::EnrollmentBuffer buffer(config);
-  for (int i = 0; i < 5; ++i) {
-    enroll::EnrollObservation obs;
-    obs.session_id = static_cast<std::uint64_t>(1 + i % 2);
-    obs.ordinal = static_cast<std::uint64_t>(i);
-    obs.gesture = i % 2;
-    for (std::size_t d = 0; d < kBiometricDims; ++d) {
-      obs.raw[d] = rng.uniform(0.0, 2.0);
-      // Two well-separated clusters so the seed exercises both the join and
-      // the found-new-candidate paths.
-      obs.normalized[d] = rng.uniform(-0.3, 0.3) + (i % 2 == 0 ? 0.0 : 8.0);
-    }
-    obs.cloud.num_frames = 4;
-    obs.cloud.first_frame = 2;
-    obs.cloud.duration_s = 0.4;
-    for (int pt = 0; pt < 6; ++pt) obs.cloud.points.push_back(seed_point(rng, 2 + pt / 2));
-    (void)buffer.admit(std::move(obs));
-  }
-  std::ostringstream out(std::ios::binary);
-  buffer.save(out, kEnrollSeedFingerprint);
-  return out.str();
-}
-
-std::string biometric_gallery_seed() {
-  Rng rng(0xC0FFEE08ULL, 22);
-  std::vector<BiometricStats> raw;
-  std::vector<int> gestures;
-  for (int i = 0; i < 12; ++i) {
-    BiometricStats stats{};
-    for (std::size_t d = 0; d < kBiometricDims; ++d) stats[d] = rng.uniform(0.2, 3.0);
-    raw.push_back(stats);
-    gestures.push_back(i % 2);
-  }
-  BiometricGallery gallery;
-  gallery.calibrate(raw, gestures);
-  std::ostringstream out(std::ios::binary);
-  gallery.save(out);
-  return out.str();
-}
-
 std::vector<std::string> write_corpus(const std::string& dir) {
   std::filesystem::create_directories(dir);
   const std::vector<std::pair<std::string, std::string>> entries = {
       {"dataset_gpds.bin", dataset_seed()},
-      {"recording_gprc.bin", recording_seed()},
       {"params_gpnn.bin", params_seed()},
       {"report.json", report_json_seed()},
       {"wire_frame_gpwf.bin", wire_frame_seed()},
       {"wire_results_gpwr.bin", wire_results_seed()},
       {"wire_tick_gpwm.bin", wire_tick_seed()},
       {"wire_tick_reply_gpwm.bin", wire_tick_reply_seed()},
-      {"enroll_gpeb.bin", enroll_buffer_seed()},
-      {"gallery_gpbg.bin", biometric_gallery_seed()},
   };
   std::vector<std::string> names;
   for (const auto& [name, payload] : entries) {

@@ -1,9 +1,8 @@
 // Canonical fuzz-corpus seed builders (gp::testkit).
 //
 // Each builder produces one small, *valid* payload for a parser under fuzz
-// (see fuzz.hpp): a GPDS dataset cache blob, a GPRC recording, a GPNN
-// parameter file, an obs run-report JSON document, cluster wire messages,
-// an enrollment buffer and a biometric gallery. The builders are
+// (see fuzz.hpp): a GPDS dataset cache blob, a GPNN parameter file, an obs
+// run-report JSON document and cluster wire messages. The builders are
 // deterministic (fixed Rng seeds), so the committed corpus under
 // tests/corpus/ can be regenerated byte-identically with --write-corpus and
 // any drift shows up in git.
@@ -18,9 +17,6 @@ namespace gp::testkit {
 
 /// GPDS payload: a 2-user, 2-gesture dataset with a handful of points.
 std::string dataset_seed();
-
-/// GPRC payload: a short FrameSequence (a few frames, a few points each).
-std::string recording_seed();
 
 /// GPNN payload plus the matching parameter skeleton. The returned blob
 /// round-trips through nn::load_parameters on tensors shaped like
@@ -48,19 +44,6 @@ std::string wire_tick_seed();
 /// GPWM envelope carrying a GPWU tick reply: two verdicts, the
 /// wire_results_seed() results and one state blob, as a worker answers.
 std::string wire_tick_reply_seed();
-
-/// The gallery-calibration fingerprint enroll_buffer_seed() is saved under
-/// (gp::enroll binds GPEB blobs to a calibration); pass it as the expected
-/// fingerprint when loading the canonical seed.
-inline constexpr std::uint64_t kEnrollSeedFingerprint = 0x6E4F5EEDB10B0001ULL;
-
-/// GPEB payload: an EnrollmentBuffer holding two candidates with a few
-/// buffered observations each (gp::enroll, DESIGN.md §13).
-std::string enroll_buffer_seed();
-
-/// GPBG payload: a calibrated BiometricGallery over deterministic
-/// descriptors (system/open_set).
-std::string biometric_gallery_seed();
 
 /// Writes every seed into `dir` (created if needed) under stable filenames,
 /// overwriting existing files. Returns the filenames written.

@@ -1,7 +1,7 @@
 // gp::enroll tests (DESIGN.md §13): candidate clustering bitwise invariant
-// to GP_THREADS × shard count, typed buffer eviction, fingerprint-bound GPEB
-// round-trips, the K-threshold → head-only fine-tune → zero-drop hot-swap
-// publish path, disabled-path identity, and a GP_FAULTS mixed soak with zero
+// to GP_THREADS × shard count, typed buffer eviction, the K-threshold →
+// head-only fine-tune → zero-drop hot-swap publish path and its counted
+// failure exit, disabled-path identity, and a GP_FAULTS mixed soak with zero
 // uncaught exceptions.
 #include <gtest/gtest.h>
 
@@ -201,42 +201,6 @@ TEST(EnrollBuffer, NearestCentroidAssignmentWithinRadius) {
   EXPECT_DOUBLE_EQ(buffer.candidates()[0].centroid[0], 0.05);
 }
 
-// GPEB round-trip: byte-identical re-save, and a blob bound to a different
-// calibration fingerprint is typed corruption.
-TEST(EnrollBuffer, RoundTripIsFingerprintBound) {
-  enroll::EnrollmentBuffer::Config config;
-  config.candidate_radius = 2.0;
-  enroll::EnrollmentBuffer buffer(config);
-  Rng rng(0xB10B, 3);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    auto obs = make_obs(1 + i % 2, i, i % 2 == 0 ? 0.0 : 7.0, static_cast<int>(i % 3));
-    obs.cloud.num_frames = 3;
-    obs.cloud.duration_s = 0.3;
-    for (int p = 0; p < 4; ++p) {
-      RadarPoint point;
-      point.position = {rng.uniform(-1, 1), rng.uniform(0.5, 1.5), rng.uniform(-1, 1)};
-      point.velocity = rng.uniform(-2, 2);
-      point.snr_db = rng.uniform(5, 25);
-      point.frame = p;
-      obs.cloud.points.push_back(point);
-    }
-    (void)buffer.admit(std::move(obs));
-  }
-
-  std::ostringstream out(std::ios::binary);
-  buffer.save(out, /*params_fingerprint=*/0xFEEDu);
-  std::istringstream in(out.str(), std::ios::binary);
-  const enroll::EnrollmentBuffer restored = enroll::EnrollmentBuffer::load(in, 0xFEEDu);
-  std::ostringstream again(std::ios::binary);
-  restored.save(again, 0xFEEDu);
-  EXPECT_EQ(out.str(), again.str());  // lossless round-trip
-  EXPECT_EQ(restored.candidates().size(), buffer.candidates().size());
-  EXPECT_EQ(restored.stats().admitted, buffer.stats().admitted);
-
-  std::istringstream wrong(out.str(), std::ios::binary);
-  EXPECT_THROW((void)enroll::EnrollmentBuffer::load(wrong, 0xBEEFu), SerializationError);
-}
-
 // ---- BiometricGallery -------------------------------------------------------
 
 // Incremental enrollment under the frozen calibration: a descriptor that was
@@ -275,17 +239,6 @@ TEST(BiometricGallery, EnrollSampleShrinksNoveltyWithoutMovingCalibration) {
   const double after = gallery.novelty(0, outsider);
   EXPECT_LT(after, before);
   EXPECT_TRUE(gallery.accepts(after));  // their own samples now anchor them
-
-  // GPBG round-trip: byte-identical re-save.
-  std::ostringstream out(std::ios::binary);
-  gallery.save(out);
-  std::istringstream in(out.str(), std::ios::binary);
-  const BiometricGallery restored = BiometricGallery::load(in);
-  std::ostringstream again(std::ios::binary);
-  restored.save(again);
-  EXPECT_EQ(out.str(), again.str());
-  EXPECT_EQ(restored.threshold(), gallery.threshold());
-  EXPECT_EQ(restored.novelty(0, outsider), after);
 }
 
 // ---- the serve-integrated battery ------------------------------------------
@@ -477,6 +430,49 @@ TEST(Enroll, KThresholdFineTunesAndHotSwapsLosslessly) {
   EXPECT_LT(service.stats().novelty_rejections - rejections_before_replay,
             sc.enroll.k_segments)
       << "the enrolled person still trips the gate often enough to re-enroll";
+}
+
+// The failure exit: every fine-tune fails at its first step (the base model
+// file does not exist). Each failure is counted, the candidate's evidence is
+// consumed anyway, nothing is published, and serving never stops — the
+// result count matches the enrollment-free run.
+TEST(Enroll, FailedFineTuneConsumesEvidenceAndKeepsServing) {
+  serve::ModelRegistry registry(world().config);
+  ASSERT_TRUE(registry.publish_file(world().model_path).has_value());
+  ASSERT_EQ(registry.version(), 1u);
+  exec::ExecContext ctx(2);
+
+  const serve::ServeConfig off = base_config(2, /*enroll_enabled=*/false);
+  const std::size_t expected = run_enroll_stream(off, registry, nullptr, ctx).size();
+
+  serve::ServeConfig sc = base_config(2, /*enroll_enabled=*/true);
+  sc.enroll.candidate_radius = 1e6;  // one candidate at a time
+  const std::string publish_dir = testing::TempDir() + "gp_enroll_fail_pub";
+  std::filesystem::create_directories(publish_dir);
+  enroll::EnrollmentServiceConfig ec = service_config(sc, publish_dir);
+  ec.base_model_path = publish_dir + "/no_such_model.gpsy";
+  enroll::EnrollmentService service(ec, registry);
+  service.calibrate(world().dataset, world().train);
+
+  const auto results = run_enroll_stream(sc, registry, &service, ctx);
+  EXPECT_EQ(results.size(), expected) << "a failed fine-tune dropped results";
+
+  const enroll::EnrollmentService::Stats stats = service.stats();
+  ASSERT_GE(stats.fine_tunes_started, 1u);
+  EXPECT_EQ(stats.fine_tunes_failed, stats.fine_tunes_started);
+  EXPECT_EQ(stats.users_enrolled, 0u);
+  EXPECT_TRUE(service.enrolled().empty());
+  EXPECT_EQ(registry.version(), 1u);
+  EXPECT_EQ(stats.last_publish_version, 0u);
+
+  // Candidate 1 was the first to reach K and its evidence is gone; every
+  // candidate ever founded was either consumed by a fine-tune or is live.
+  const enroll::EnrollmentBuffer& buffer = service.buffer();
+  EXPECT_EQ(buffer.find(1), nullptr);
+  EXPECT_EQ(buffer.stats().founded, stats.fine_tunes_started + buffer.candidates().size());
+  for (const enroll::Candidate& c : buffer.candidates()) {
+    EXPECT_LT(c.segments.size(), sc.enroll.k_segments);
+  }
 }
 
 // GP_FAULTS mixed soak with enrollment armed: severely degraded links feed

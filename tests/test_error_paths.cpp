@@ -1,8 +1,8 @@
 // Error-path coverage: every rejection the public API promises must be a
 // *typed* gp::Error (or subclass), raised before any partial state or
-// unbounded allocation. Covers RadarConfig validation, the pointcloud/io
-// and serialize decoders (including regressions for the hardened
-// length-prefix checks), the dataset cache (including the DESIGN.md §7
+// unbounded allocation. Covers RadarConfig validation, the serialize
+// decoders (including regressions for the hardened length-prefix checks),
+// the dataset cache (including the DESIGN.md §7
 // quarantine-and-regenerate recovery), and eval/roc degenerate inputs.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "datasets/cache.hpp"
 #include "datasets/catalog.hpp"
 #include "eval/roc.hpp"
-#include "pointcloud/io.hpp"
 #include "radar/config.hpp"
 #include "system/gestureprint.hpp"
 #include "testkit/oracle.hpp"
@@ -75,35 +74,6 @@ TEST(RadarConfigErrors, RejectsDegenerateAntennaArrays) {
 
 TEST(RadarConfigErrors, DefaultConfigIsValid) {
   EXPECT_NO_THROW(RadarConfig{}.validate());
-}
-
-// ---- pointcloud/io: malformed recordings ----------------------------------
-
-TEST(RecordingErrors, RejectsWrongTag) {
-  std::istringstream in(std::string("XXXX\x01", 5), std::ios::binary);
-  EXPECT_THROW(load_recording(in), SerializationError);
-}
-
-TEST(RecordingErrors, RejectsTruncatedStream) {
-  std::string payload = testkit::recording_seed();
-  payload.resize(payload.size() / 2);
-  std::istringstream in(payload, std::ios::binary);
-  EXPECT_THROW(load_recording(in), SerializationError);
-}
-
-// Regression for the hardened count validation: a huge frame count with no
-// backing bytes must be rejected up front (before the reserve), not die in
-// the allocator after.
-TEST(RecordingErrors, RejectsHugeFrameCountBeforeAllocating) {
-  std::string payload = testkit::recording_seed();
-  const std::uint64_t huge = 1ULL << 62;
-  for (int i = 0; i < 8; ++i) payload[5 + i] = static_cast<char>(huge >> (8 * i));
-  std::istringstream in(payload, std::ios::binary);
-  EXPECT_THROW(load_recording(in), SerializationError);
-}
-
-TEST(RecordingErrors, MissingFileIsNulloptNotError) {
-  EXPECT_FALSE(load_recording_file("/nonexistent/gp_recording.gprc").has_value());
 }
 
 // ---- common/serialize: hardened reader regressions ------------------------

@@ -10,8 +10,8 @@
 // Deterministic: a failure reproduces exactly from the printed seed.
 //
 // Run under sanitizers via scripts/verify.sh (configures -DGP_SANITIZE=address
-// and executes this label); the hardened readers in common/serialize,
-// datasets/cache and pointcloud/io are what keep the allocator quiet here.
+// and executes this label); the hardened readers in common/serialize and
+// datasets/cache are what keep the allocator quiet here.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -30,11 +30,9 @@
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "datasets/cache.hpp"
-#include "enroll/buffer.hpp"
 #include "health/slo.hpp"
 #include "nn/serialize_nn.hpp"
 #include "obs/json.hpp"
-#include "pointcloud/io.hpp"
 #include "radar/config.hpp"
 #include "testkit/fuzz.hpp"
 #include "testkit/seeds.hpp"
@@ -45,20 +43,17 @@ namespace {
 std::string g_corpus_dir;  // set in main()
 
 /// Committed corpus + built-in canonical seeds. Every target gets the full
-/// cross-format pool: feeding a GPRC blob to the GPDS parser is exactly the
+/// cross-format pool: feeding a GPNN blob to the GPDS parser is exactly the
 /// kind of tag/layout confusion the typed-error contract must absorb.
 std::vector<std::string> corpus() {
   std::vector<std::string> seeds = testkit::load_corpus_dir(g_corpus_dir);
   seeds.push_back(testkit::dataset_seed());
-  seeds.push_back(testkit::recording_seed());
   seeds.push_back(testkit::params_seed());
   seeds.push_back(testkit::report_json_seed());
   seeds.push_back(testkit::wire_frame_seed());
   seeds.push_back(testkit::wire_results_seed());
   seeds.push_back(testkit::wire_tick_seed());
   seeds.push_back(testkit::wire_tick_reply_seed());
-  seeds.push_back(testkit::enroll_buffer_seed());
-  seeds.push_back(testkit::biometric_gallery_seed());
   seeds.push_back("");  // the degenerate seed every parser must survive
   return seeds;
 }
@@ -107,16 +102,6 @@ TEST(FuzzSmoke, DatasetCacheDecoder) {
       [](const std::string& payload) {
         std::istringstream in(payload, std::ios::binary);
         (void)read_dataset(in, "<fuzz>");  // nullopt (version mismatch) is fine
-      });
-  expect_clean(outcome);
-}
-
-TEST(FuzzSmoke, RecordingDecoder) {
-  const auto outcome = testkit::fuzz_target(
-      "pointcloud/load_recording", corpus(),
-      [](const std::string& payload) {
-        std::istringstream in(payload, std::ios::binary);
-        (void)load_recording(in);
       });
   expect_clean(outcome);
 }
@@ -278,34 +263,6 @@ TEST(FuzzSmoke, ClusterWireControlDecoders) {
         // Re-throw one typed rejection when nothing accepted, so the fuzz
         // accounting still distinguishes accepted from rejected payloads.
         if (!accepted) (void)cluster::decode_ack(payload);
-      });
-  expect_clean(outcome);
-}
-
-// The GPEB enrollment-buffer reader (gp::enroll, DESIGN.md §13) restores
-// persisted candidate state across process restarts: unvalidated counts,
-// out-of-range candidate ids/gestures/quality bytes and a wrong calibration
-// fingerprint must all surface as SerializationError — never a crash or an
-// unchecked allocation.
-TEST(FuzzSmoke, EnrollBufferDecoder) {
-  const auto outcome = testkit::fuzz_target(
-      "enroll/buffer_load", corpus(),
-      [](const std::string& payload) {
-        std::istringstream in(payload, std::ios::binary);
-        (void)enroll::EnrollmentBuffer::load(in, testkit::kEnrollSeedFingerprint);
-      });
-  expect_clean(outcome);
-}
-
-// The GPBG biometric-gallery reader: the calibration a serve-side novelty
-// gate restores at startup. Zero/negative stddevs (division hazards), bogus
-// FRR targets and forged per-gesture counts must die typed.
-TEST(FuzzSmoke, BiometricGalleryDecoder) {
-  const auto outcome = testkit::fuzz_target(
-      "system/biometric_gallery_load", corpus(),
-      [](const std::string& payload) {
-        std::istringstream in(payload, std::ios::binary);
-        (void)BiometricGallery::load(in);
       });
   expect_clean(outcome);
 }

@@ -1,16 +1,12 @@
-// Tests for the recording I/O format, the radar link-budget analysis, and
-// the allocation budgets of the repeated-IO paths (cache-hit dataset loads,
-// steady trainer epochs) — the gp::mem counting hooks keep allocator
-// traffic on these paths from silently regressing.
+// Tests for the radar link-budget analysis and the allocation budgets of
+// the repeated-IO paths (cache-hit dataset loads, steady trainer epochs) —
+// the gp::mem counting hooks keep allocator traffic on these paths from
+// silently regressing.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
-#include "common/error.hpp"
 #include "common/mem.hpp"
 #include "common/rng.hpp"
 #include "datasets/cache.hpp"
@@ -20,73 +16,12 @@
 #include "gesidnet/gesidnet.hpp"
 #include "gesidnet/trainer.hpp"
 #include "kinematics/performer.hpp"
-#include "pointcloud/io.hpp"
 #include "radar/fmcw.hpp"
 #include "radar/frontend.hpp"
 #include "radar/link_budget.hpp"
-#include "radar/sensor.hpp"
 
 namespace gp {
 namespace {
-
-FrameSequence synth_recording() {
-  Rng rng(1);
-  const UserProfile user = UserProfile::sample(0, rng);
-  const GesturePerformer performer(user, PerformanceConfig{});
-  Rng rep(2);
-  const SceneSequence scene = performer.perform(asl_gesture_set()[0], rep);
-  return RadarSensor().observe(scene, rng);
-}
-
-TEST(RecordingIo, RoundTripPreservesEverything) {
-  const FrameSequence original = synth_recording();
-  std::stringstream buffer;
-  save_recording(buffer, original);
-  const FrameSequence restored = load_recording(buffer);
-
-  ASSERT_EQ(restored.size(), original.size());
-  for (std::size_t f = 0; f < original.size(); ++f) {
-    EXPECT_EQ(restored[f].frame_index, original[f].frame_index);
-    EXPECT_DOUBLE_EQ(restored[f].timestamp, original[f].timestamp);
-    ASSERT_EQ(restored[f].points.size(), original[f].points.size());
-    for (std::size_t i = 0; i < original[f].points.size(); ++i) {
-      EXPECT_DOUBLE_EQ(restored[f].points[i].position.x, original[f].points[i].position.x);
-      EXPECT_DOUBLE_EQ(restored[f].points[i].velocity, original[f].points[i].velocity);
-      EXPECT_EQ(restored[f].points[i].frame, original[f].points[i].frame);
-    }
-  }
-}
-
-TEST(RecordingIo, FileRoundTripAndMissingFile) {
-  const FrameSequence original = synth_recording();
-  const std::string path = testing::TempDir() + "gp_recording.gprc";
-  save_recording_file(path, original);
-  const auto restored = load_recording_file(path);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->size(), original.size());
-  std::filesystem::remove(path);
-
-  EXPECT_FALSE(load_recording_file("/nonexistent/rec.gprc").has_value());
-}
-
-TEST(RecordingIo, GarbageThrows) {
-  std::stringstream buffer;
-  buffer << "garbage bytes";
-  EXPECT_THROW(load_recording(buffer), SerializationError);
-}
-
-TEST(RecordingIo, CsvExportHasOneRowPerPoint) {
-  const FrameSequence recording = synth_recording();
-  const std::string path = testing::TempDir() + "gp_recording.csv";
-  export_recording_csv(path, recording);
-
-  std::ifstream in(path);
-  std::string line;
-  std::size_t rows = 0;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 1 + total_points(recording));  // header + points
-  std::filesystem::remove(path);
-}
 
 // ---- link budget -----------------------------------------------------------
 

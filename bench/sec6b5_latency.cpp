@@ -10,9 +10,9 @@
 // sample must sit comfortably below the gesture duration.
 //
 // The binary also runs a parallel-scaling sweep over GP thread counts
-// {1, 2, 4, hardware} for three representative stages (matmul kernel, one
-// training epoch, dataset synthesis) and writes the measured speedups to
-// <output_dir>/BENCH_parallel.json.
+// {1, 2, 4, hardware} for four representative stages (matmul kernel, one
+// training epoch, a whole serialized system fit, dataset synthesis) and
+// writes the measured speedups to <output_dir>/BENCH_parallel.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -37,6 +37,7 @@
 #include "obs/trace.hpp"
 #include "pipeline/preprocessor.hpp"
 #include "serve/server.hpp"
+#include "system/gestureprint.hpp"
 
 namespace {
 
@@ -268,7 +269,7 @@ struct SweepStage {
   std::vector<double> ms;
 };
 
-/// Sweeps GP thread counts over three representative stages and writes
+/// Sweeps GP thread counts over four representative stages and writes
 /// BENCH_parallel.json. Every stage produces bitwise-identical results at
 /// each thread count (the gp::exec contract), so only time varies.
 void run_parallel_sweep() {
@@ -302,7 +303,23 @@ void run_parallel_sweep() {
   train_config.epochs = 1;
   train_config.batch_size = 16;
 
-  std::vector<SweepStage> stages{{"gemm_kernel", {}}, {"train_epoch", {}}, {"dataset_synthesis", {}}};
+  // system_fit: the serialized fit at perfbench's sizes (3 users x 4
+  // gestures x 5 reps, 5 epochs, one augmentation copy), whose gesture and
+  // per-gesture user models train concurrently on the context's lanes.
+  DatasetScale fit_scale;
+  fit_scale.max_users = 3;
+  fit_scale.reps = 5;
+  DatasetSpec fit_spec = gestureprint_spec(0, fit_scale);
+  fit_spec.gestures.resize(4);
+  const Dataset fit_data = generate_dataset(fit_spec, prep_ctx);
+  const std::vector<std::size_t> fit_idx = all_indices(fit_data);
+  GesturePrintConfig fit_config;
+  fit_config.training.epochs = 5;
+  fit_config.training.batch_size = 16;
+  fit_config.prep.augmentation.copies = 1;
+
+  std::vector<SweepStage> stages{
+      {"gemm_kernel", {}}, {"train_epoch", {}}, {"system_fit", {}}, {"dataset_synthesis", {}}};
   for (const std::size_t t : threads) {
     exec::ExecContext ctx(t);
     stages[0].ms.push_back(time_stage_ms(ctx, [&](exec::ExecContext& c) {
@@ -324,6 +341,14 @@ void run_parallel_sweep() {
         },
         /*reps=*/2));
     stages[2].ms.push_back(time_stage_ms(
+        ctx,
+        [&](exec::ExecContext& c) {
+          GesturePrintSystem system(fit_config);
+          system.fit(fit_data, fit_idx, c);
+          benchmark::DoNotOptimize(system);
+        },
+        /*reps=*/2));
+    stages[3].ms.push_back(time_stage_ms(
         ctx,
         [&](exec::ExecContext& c) {
           const Dataset d = generate_dataset(spec, c);

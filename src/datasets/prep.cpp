@@ -1,5 +1,6 @@
 #include "datasets/prep.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -10,6 +11,9 @@ LabeledSamples prepare_subset(const Dataset& dataset, std::span<const std::size_
                               LabelKind kind, const PrepConfig& config, Rng& rng) {
   check_arg(!indices.empty(), "prepare_subset with no indices");
   LabeledSamples out;
+  const std::size_t rows = prepared_size(indices.size(), config);
+  out.samples.reserve(rows);
+  out.labels.reserve(rows);
 
   for (std::size_t idx : indices) {
     check_arg(idx < dataset.samples.size(), "sample index out of range");
@@ -26,6 +30,11 @@ LabeledSamples prepare_subset(const Dataset& dataset, std::span<const std::size_
     }
   }
   return out;
+}
+
+std::size_t prepared_size(std::size_t n, const PrepConfig& config) {
+  const int copies = config.augment ? std::max(config.augmentation.copies, 0) : 0;
+  return n * (1 + static_cast<std::size_t>(copies));
 }
 
 std::vector<std::size_t> indices_where_gesture(const Dataset& dataset, int gesture) {

@@ -24,6 +24,10 @@ struct PrepConfig {
 LabeledSamples prepare_subset(const Dataset& dataset, std::span<const std::size_t> indices,
                               LabelKind kind, const PrepConfig& config, Rng& rng);
 
+/// Rows prepare_subset() returns for `n` indices: one per sample plus its
+/// augmentation copies.
+std::size_t prepared_size(std::size_t n, const PrepConfig& config);
+
 /// Filters sample indices by predicate helpers used across benches.
 std::vector<std::size_t> indices_where_gesture(const Dataset& dataset, int gesture);
 std::vector<std::size_t> indices_where_distance(const Dataset& dataset, double distance,

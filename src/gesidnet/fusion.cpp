@@ -100,6 +100,11 @@ std::vector<nn::Parameter*> AttentionFusion::parameters() {
   return {&gate_weight_, &gate_bias_};
 }
 
+void AttentionFusion::release_caches() {
+  resized_ = nn::Tensor();
+  native_ = nn::Tensor();
+}
+
 double AttentionFusion::mean_resized_weight() const {
   if (s_resized_.empty()) return 0.5;
   double acc = 0.0;

@@ -35,6 +35,10 @@ class AttentionFusion {
   /// Mean attention weight assigned to the resized feature (diagnostics).
   double mean_resized_weight() const;
 
+  /// Frees the inputs forward() cached for backward(). The per-row weights
+  /// stay: mean_resized_weight() reads them.
+  void release_caches();
+
  private:
   /// Y = s1·resized + (1 − s1)·native per row, s1 = softmax gate; stores s1
   /// per row into `s_resized` when non-null. Behind forward() and infer().

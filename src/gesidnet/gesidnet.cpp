@@ -209,6 +209,22 @@ double GesIDNet::train_step_head_only(const BatchedCloud& batch, const std::vect
   return primary.loss + auxiliary.loss;
 }
 
+void GesIDNet::release_caches() {
+  sa1_->release_caches();
+  sa2_->release_caches();
+  level1_->release_caches();
+  level2_->release_caches();
+  if (config_.enable_fusion) {
+    resize_2to1_->release_caches();
+    resize_1to2_->release_caches();
+    fusion1_->release_caches();
+    fusion2_->release_caches();
+  }
+  head1_->release_caches();
+  head2_->release_caches();
+  train_ws_ = nn::Workspace();
+}
+
 std::vector<nn::Parameter*> GesIDNet::head_parameters() {
   std::vector<nn::Parameter*> out = head1_->parameters();
   const auto extra = head2_->parameters();

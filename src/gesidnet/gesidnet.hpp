@@ -49,6 +49,7 @@ class GesIDNet : public PointCloudClassifier {
   std::vector<nn::Parameter*> buffers() override;
   std::string name() const override { return "GesIDNet"; }
   std::size_t num_classes() const override { return config_.num_classes; }
+  void release_caches() override;
   /// Deep copy (weights + batch-norm statistics) for training replicas.
   std::unique_ptr<PointCloudClassifier> clone() override;
 

@@ -50,6 +50,12 @@ class PointCloudClassifier {
     return train_step(batch, labels);
   }
 
+  /// Frees the training forward's backward caches and working sets; the
+  /// trainer calls it once training ends, so a fitted model holds its
+  /// parameters and buffers, not the last step's activations. The next
+  /// training step rebuilds them. Models without caches do nothing.
+  virtual void release_caches() {}
+
   /// Deep copy with identical weights and buffers — a trainable replica
   /// (the training forward caches activations, so one instance cannot train
   /// on two threads). Inference needs no copy: infer_into() is reentrant.

@@ -206,6 +206,14 @@ BatchedCloud SetAbstraction::forward(const BatchedCloud& in, bool training) {
   return out;
 }
 
+void SetAbstraction::release_caches() {
+  // Assigning {} would keep the capacity (initializer_list assign).
+  members_ = std::vector<std::size_t>();
+  for (auto& winners : argmax_) winners = std::vector<std::size_t>();
+  train_ws_ = nn::Workspace();
+  for (auto& mlp : mlps_) mlp->release_caches();
+}
+
 void SetAbstraction::infer(const BatchedCloud& in, BatchedCloud& out,
                            nn::Workspace& ws) const {
   abstract(in, out, ws, nullptr, nullptr,
@@ -295,6 +303,12 @@ void GroupAll::group_all(const BatchedCloud& in, nn::Tensor& out, nn::Workspace&
   run_mlp(rows, activated);
   out.resize(in.batch, out_channels_);
   nn::max_pool_rows(activated, in.batch, in.num_points, out, 0, argmax);
+}
+
+void GroupAll::release_caches() {
+  argmax_ = std::vector<std::size_t>();
+  train_ws_ = nn::Workspace();
+  mlp_->release_caches();
 }
 
 nn::Tensor GroupAll::forward(const BatchedCloud& in, bool training) {

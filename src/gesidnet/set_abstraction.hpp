@@ -68,6 +68,9 @@ class SetAbstraction {
 
   std::vector<nn::Parameter*> parameters();
   std::vector<nn::Parameter*> buffers();
+  /// Frees the forward caches and grouping temporaries (nn::Layer's
+  /// release_caches()); the next forward() rebuilds them.
+  void release_caches();
   std::size_t out_channels() const { return out_channels_; }
   std::size_t num_centroids() const { return num_centroids_; }
 
@@ -96,7 +99,9 @@ class SetAbstraction {
 
   // Forward caches.
   std::vector<std::size_t> members_;              ///< ball_query's input rows
-  std::vector<std::vector<std::size_t>> argmax_;  ///< per scale: winning row per (group, channel)
+  /// Per scale: winning row per (group, channel). forward() passes data(),
+  /// so the outer vector keeps one entry per scale for the model's life.
+  std::vector<std::vector<std::size_t>> argmax_;
   std::size_t in_rows_ = 0;
   std::size_t batch_ = 0;
   nn::Workspace train_ws_;  ///< forward()'s grouping temporaries
@@ -119,6 +124,9 @@ class GroupAll {
 
   std::vector<nn::Parameter*> parameters();
   std::vector<nn::Parameter*> buffers();
+  /// Frees the forward caches and row temporaries; the next forward()
+  /// rebuilds them.
+  void release_caches();
   std::size_t out_channels() const { return out_channels_; }
 
   /// Fuses the shared MLP for inference (nn/fused.hpp); irreversible.

@@ -87,6 +87,10 @@ TrainStats train_classifier(PointCloudClassifier& model, const LabeledSamples& d
     }
   }
 
+  // The last step's backward caches are dead weight in a fitted model
+  // (several MB per GesIDNet); the accuracy pass below is the cache-free
+  // inference path.
+  model.release_caches();
   const nn::Tensor logits = predict_logits(model, data.samples, 64, ctx);
   stats.train_accuracy = nn::accuracy(logits, data.labels);
   return stats;

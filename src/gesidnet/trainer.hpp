@@ -46,7 +46,8 @@ struct TrainStats {
 /// sample-major (row b*N+i belongs to sample b), so the row-panel matmul
 /// kernels split every layer across the minibatch, and weight-gradient
 /// accumulation keeps the serial summation order — losses are
-/// bitwise-identical for any thread count.
+/// bitwise-identical for any thread count. Ends with
+/// model.release_caches(): a trained model keeps no backward caches.
 TrainStats train_classifier(PointCloudClassifier& model, const LabeledSamples& data,
                             const TrainConfig& config,
                             exec::ExecContext& ctx = exec::ExecContext::global());

@@ -275,6 +275,11 @@ std::vector<Parameter*> BatchNorm1d::parameters() { return {&gamma_, &beta_}; }
 
 std::vector<Parameter*> BatchNorm1d::buffers() { return {&running_mean_, &running_var_}; }
 
+void BatchNorm1d::release_caches() {
+  x_hat_ = Tensor();
+  batch_var_ = Tensor();
+}
+
 // ---- Sequential ------------------------------------------------------------
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
@@ -317,6 +322,10 @@ std::vector<Parameter*> Sequential::buffers() {
     for (Parameter* p : layer->buffers()) out.push_back(p);
   }
   return out;
+}
+
+void Sequential::release_caches() {
+  for (auto& layer : layers_) layer->release_caches();
 }
 
 std::unique_ptr<Sequential> make_mlp(std::size_t in_features,

@@ -47,6 +47,9 @@ class Layer {
   /// Non-learned persistent state (e.g. batch-norm running statistics);
   /// serialized alongside parameters but never touched by optimisers.
   virtual std::vector<Parameter*> buffers() { return {}; }
+  /// Frees what the last forward() cached for backward(). The next
+  /// forward() rebuilds it, so only a backward() in between is invalid.
+  virtual void release_caches() {}
 };
 
 /// y = x W^T + b, with W stored (out x in) and Kaiming-uniform init. Both
@@ -60,6 +63,7 @@ class Linear : public Layer {
   void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
+  void release_caches() override { cached_input_ = Tensor(); }
 
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
@@ -79,6 +83,7 @@ class ReLU : public Layer {
   Tensor forward(const Tensor& input, bool training) override;
   void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
+  void release_caches() override { mask_ = Tensor(); }
 
  private:
   /// out = max(input, 0): the kernel behind forward() and infer().
@@ -99,6 +104,7 @@ class Dropout : public Layer {
   /// Identity (a copy): dropout is off at inference.
   void infer(const Tensor& input, Tensor& out, Workspace& ws) const override;
   Tensor backward(const Tensor& grad_output) override;
+  void release_caches() override { mask_ = Tensor(); }
 
  private:
   double p_;
@@ -119,6 +125,7 @@ class BatchNorm1d : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::vector<Parameter*> buffers() override;
+  void release_caches() override;
 
   Tensor& running_mean() { return running_mean_.value; }
   Tensor& running_var() { return running_var_.value; }
@@ -168,6 +175,7 @@ class Sequential : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::vector<Parameter*> buffers() override;
+  void release_caches() override;
 
   std::size_t size() const { return layers_.size(); }
 

@@ -37,18 +37,10 @@ double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 FrameCloud fast_process_frame(const RadarConfig& radar, const FastBackendConfig& config,
                               const SceneFrame& scene, Rng& rng) {
-  FrameCloud frame;
-  fast_process_frame_into(radar, config, scene, rng, frame);
-  return frame;
-}
-
-void fast_process_frame_into(const RadarConfig& radar, const FastBackendConfig& config,
-                             const SceneFrame& scene, Rng& rng, FrameCloud& out) {
   GP_SPAN("radar.fast_backend");
   GP_COUNTER_ADD("gp.radar.frames_fast", 1);
   radar.validate();
-  FrameCloud& frame = out;
-  frame.points.clear();
+  FrameCloud frame;
   frame.frame_index = scene.frame_index;
   frame.timestamp = scene.timestamp;
 
@@ -157,6 +149,7 @@ void fast_process_frame_into(const RadarConfig& radar, const FastBackendConfig& 
 
   frame.points.reserve(cells.size());
   for (auto& [key, point] : cells) frame.points.push_back(point);
+  return frame;
 }
 
 FrameSequence fast_process_scene(const RadarConfig& radar, const FastBackendConfig& config,

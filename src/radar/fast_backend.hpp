@@ -45,7 +45,8 @@ struct FastBackendConfig {
   /// fast_process_scene roughly 70% of this budget is emitted by a few
   /// *persistent* clutter sites (fans, swaying fixtures) fixed for the whole
   /// scene — matching how residual clutter behaves in real rooms — and the
-  /// rest stays transient. fast_process_frame alone is fully transient.
+  /// rest stays transient. A direct fast_process_frame call emits the whole
+  /// budget as transient clutter.
   double clutter_rate = 0.35;
   /// Per-frame emission probability of one persistent clutter site.
   double site_emission_prob = 0.5;
@@ -54,11 +55,6 @@ struct FastBackendConfig {
 /// Produces the detections for one scene frame.
 FrameCloud fast_process_frame(const RadarConfig& radar, const FastBackendConfig& config,
                               const SceneFrame& scene, Rng& rng);
-
-/// Buffer-reusing variant: identical frame (same RNG draw order) written
-/// into `out`, recycling its point storage across frames.
-void fast_process_frame_into(const RadarConfig& radar, const FastBackendConfig& config,
-                             const SceneFrame& scene, Rng& rng, FrameCloud& out);
 
 /// Processes a whole gesture performance.
 FrameSequence fast_process_scene(const RadarConfig& radar, const FastBackendConfig& config,

@@ -28,7 +28,7 @@ CrossValidationResult cross_validate(const Dataset& dataset, const GesturePrintC
     GesturePrintConfig fold_config = config;
     fold_config.seed = config.seed + i + 1;
     GesturePrintSystem system(fold_config);
-    system.fit(dataset, folds[i].train);
+    system.fit(dataset, folds[i].train, ctx);
     result.folds[i] = system.evaluate(dataset, folds[i].test);
   });
 

@@ -1,11 +1,15 @@
 #include "system/gestureprint.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/fnv.hpp"
@@ -76,74 +80,107 @@ GesIDNet& GesturePrintSystem::gesture_model() {
   return *gesture_model_;
 }
 
-void GesturePrintSystem::fit(const Dataset& dataset,
-                             std::span<const std::size_t> train_indices) {
+/// One model's training run within a phase. Every rng_ value it needs is
+/// drawn when the job is made, so the jobs may run in any order, on any lane.
+struct GesturePrintSystem::TrainJob {
+  GesIDNet* model = nullptr;
+  std::vector<std::size_t> indices;
+  LabelKind kind = LabelKind::kGesture;
+  Rng prep_rng;
+  TrainConfig tc;
+  double train_accuracy = 0.0;
+};
+
+void GesturePrintSystem::train_jobs(const Dataset& dataset, std::vector<TrainJob>& jobs,
+                                    exec::ExecContext& ctx) {
+  if (jobs.empty()) return;
+  // Longest first by training rows × epochs, so the lane that draws the
+  // longest job starts it at once.
+  std::vector<std::size_t> cost(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    cost[j] = prepared_size(jobs[j].indices.size(), config_.prep) * jobs[j].tc.epochs;
+  }
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
+  // No lane count finishes before the longest job does, and every lane
+  // holds one more training working set: stop at ceil(total / longest).
+  const std::size_t longest = std::max<std::size_t>(cost[order.front()], 1);
+  const std::size_t total = std::accumulate(cost.begin(), cost.end(), std::size_t{0});
+  const std::size_t lanes =
+      std::clamp<std::size_t>((total + longest - 1) / longest, 1, ctx.threads());
+
+  // Kernels inside a lane run inline, and inline kernels are bitwise those
+  // of any thread count: the models are the serial loop's.
+  std::atomic<std::size_t> next{0};
+  ctx.run_chunks(lanes, [&](std::size_t) {
+    for (std::size_t i = next++; i < order.size(); i = next++) {
+      TrainJob& job = jobs[order[i]];
+      const LabeledSamples train =
+          prepare_subset(dataset, job.indices, job.kind, config_.prep, job.prep_rng);
+      job.train_accuracy = train_classifier(*job.model, train, job.tc, ctx).train_accuracy;
+    }
+  });
+#if defined(__GLIBC__)
+  // Each lane freed its working set into its own malloc arena, which keeps
+  // the pages resident (and every forked cluster worker inherits them).
+  if (lanes > 1) malloc_trim(0);
+#endif
+}
+
+void GesturePrintSystem::fit(const Dataset& dataset, std::span<const std::size_t> train_indices,
+                             exec::ExecContext& ctx) {
   GP_SPAN("system.fit");
   check_arg(!train_indices.empty(), "fit with empty training set");
   num_gestures_ = dataset.num_gestures();
   num_users_ = dataset.num_users();
   check_arg(num_gestures_ >= 2 && num_users_ >= 2, "need >= 2 gestures and users");
 
-  // ---- gesture recognition model ----
-  {
+  // Every rng_ draw happens here, serially and in model order: the
+  // construction Rng, the prep fork, then the training seed.
+  std::vector<TrainJob> jobs;
+  const auto add_job = [&](std::unique_ptr<GesIDNet>& slot, std::size_t classes,
+                           std::vector<std::size_t> indices, LabelKind kind) -> TrainJob& {
     GesIDNetConfig net = config_.network;
-    net.num_classes = num_gestures_;
+    net.num_classes = classes;
     Rng init = rng_.fork();
-    gesture_model_ = std::make_unique<GesIDNet>(net, init);
-    Rng prep_rng = rng_.fork();
-    const LabeledSamples train = prepare_subset(dataset, train_indices, LabelKind::kGesture,
-                                                config_.prep, prep_rng);
-    TrainConfig tc = config_.training;
-    tc.seed = rng_();
-    const TrainStats stats = train_classifier(*gesture_model_, train, tc);
-    log_debug() << "gesture model train acc " << stats.train_accuracy;
-  }
+    slot = std::make_unique<GesIDNet>(net, init);
+    TrainJob& job = jobs.emplace_back(
+        TrainJob{slot.get(), std::move(indices), kind, rng_.fork(), config_.training});
+    job.tc.seed = rng_();
+    return job;
+  };
 
-  // ---- user identification model(s) ----
+  const std::vector<std::size_t> all(train_indices.begin(), train_indices.end());
+  add_job(gesture_model_, num_gestures_, all, LabelKind::kGesture);
   user_models_.clear();
-  GesIDNetConfig net = config_.network;
-  net.num_classes = num_users_;
-
   if (config_.mode == IdentificationMode::kParallel) {
-    Rng init = rng_.fork();
-    auto model = std::make_unique<GesIDNet>(net, init);
-    Rng prep_rng = rng_.fork();
-    const LabeledSamples train =
-        prepare_subset(dataset, train_indices, LabelKind::kUser, config_.prep, prep_rng);
-    TrainConfig tc = config_.training;
-    tc.seed = rng_();
-    train_classifier(*model, train, tc);
-    user_models_.push_back(std::move(model));
-    return;
-  }
-
-  // Serialized: one ID model per gesture, trained on that gesture's samples.
-  user_models_.resize(num_gestures_);
-  for (std::size_t g = 0; g < num_gestures_; ++g) {
-    std::vector<std::size_t> gesture_indices;
-    for (std::size_t idx : train_indices) {
-      if (dataset.samples[idx].gesture == static_cast<int>(g)) gesture_indices.push_back(idx);
+    user_models_.resize(1);
+    add_job(user_models_.front(), num_users_, all, LabelKind::kUser);
+  } else {
+    // Serialized: one ID model per gesture, trained on that gesture's samples.
+    user_models_.resize(num_gestures_);
+    for (std::size_t g = 0; g < num_gestures_; ++g) {
+      std::vector<std::size_t> gesture_indices;
+      for (std::size_t idx : train_indices) {
+        if (dataset.samples[idx].gesture == static_cast<int>(g)) gesture_indices.push_back(idx);
+      }
+      if (gesture_indices.empty()) continue;  // gesture absent from training
+      TrainJob& job = add_job(user_models_[g], num_users_, std::move(gesture_indices),
+                              LabelKind::kUser);
+      // Each per-gesture model sees only 1/num_gestures of the data, so a
+      // budget that trains the recognition model leaves these undertrained.
+      // Compensate with more epochs and smaller batches (total serialized-ID
+      // compute stays ~2x one full model pass).
+      if (prepared_size(job.indices.size(), config_.prep) < 500) {
+        job.tc.epochs = std::min<std::size_t>(job.tc.epochs * 2, 24);
+        job.tc.batch_size = 16;
+      }
     }
-    if (gesture_indices.empty()) continue;  // gesture absent from training
-
-    Rng init = rng_.fork();
-    auto model = std::make_unique<GesIDNet>(net, init);
-    Rng prep_rng = rng_.fork();
-    const LabeledSamples train = prepare_subset(dataset, gesture_indices, LabelKind::kUser,
-                                                config_.prep, prep_rng);
-    TrainConfig tc = config_.training;
-    tc.seed = rng_();
-    // Each per-gesture model sees only 1/num_gestures of the data, so a
-    // budget that trains the recognition model leaves these undertrained.
-    // Compensate with more epochs and smaller batches (total serialized-ID
-    // compute stays ~2x one full model pass).
-    if (train.size() < 500) {
-      tc.epochs = std::min<std::size_t>(tc.epochs * 2, 24);
-      tc.batch_size = 16;
-    }
-    train_classifier(*model, train, tc);
-    user_models_[g] = std::move(model);
   }
+  train_jobs(dataset, jobs, ctx);
+  log_debug() << "gesture model train acc " << jobs.front().train_accuracy;
 }
 
 namespace {
@@ -160,7 +197,7 @@ std::vector<nn::Parameter*> full_state(GesIDNet& model) {
 
 void GesturePrintSystem::fine_tune(const Dataset& dataset,
                                    std::span<const std::size_t> indices, std::size_t epochs,
-                                   double lr) {
+                                   double lr, exec::ExecContext& ctx) {
   check(fitted(), "fine_tune before fit");
   check_arg(!indices.empty(), "fine_tune with no samples");
   check_arg(dataset.num_gestures() == num_gestures_ && dataset.num_users() == num_users_,
@@ -171,23 +208,19 @@ void GesturePrintSystem::fine_tune(const Dataset& dataset,
   tc.lr = lr;
   tc.seed = rng_();
 
-  {
-    Rng prep_rng = rng_.fork();
-    const LabeledSamples adapt =
-        prepare_subset(dataset, indices, LabelKind::kGesture, config_.prep, prep_rng);
-    train_classifier(*gesture_model_, adapt, tc);
-  }
-  adapt_user_models(dataset, indices, tc);
+  std::vector<TrainJob> jobs;
+  jobs.push_back({gesture_model_.get(), {indices.begin(), indices.end()}, LabelKind::kGesture,
+                  rng_.fork(), tc});
+  add_user_adapt_jobs(dataset, indices, tc, jobs);
+  train_jobs(dataset, jobs, ctx);
 }
 
-void GesturePrintSystem::adapt_user_models(const Dataset& dataset,
-                                           std::span<const std::size_t> indices,
-                                           const TrainConfig& tc) {
+void GesturePrintSystem::add_user_adapt_jobs(const Dataset& dataset,
+                                             std::span<const std::size_t> indices,
+                                             const TrainConfig& tc, std::vector<TrainJob>& jobs) {
   if (config_.mode == IdentificationMode::kParallel) {
-    Rng prep_rng = rng_.fork();
-    const LabeledSamples adapt =
-        prepare_subset(dataset, indices, LabelKind::kUser, config_.prep, prep_rng);
-    train_classifier(*user_models_.front(), adapt, tc);
+    jobs.push_back({user_models_.front().get(), {indices.begin(), indices.end()},
+                    LabelKind::kUser, rng_.fork(), tc});
     return;
   }
   for (std::size_t g = 0; g < num_gestures_; ++g) {
@@ -199,10 +232,7 @@ void GesturePrintSystem::adapt_user_models(const Dataset& dataset,
     }
     // Per-gesture adaptation needs at least a minibatch worth of samples.
     if (gesture_indices.size() < 4) continue;
-    Rng prep_rng = rng_.fork();
-    const LabeledSamples adapt = prepare_subset(dataset, gesture_indices, LabelKind::kUser,
-                                                config_.prep, prep_rng);
-    train_classifier(*model, adapt, tc);
+    jobs.push_back({model, std::move(gesture_indices), LabelKind::kUser, rng_.fork(), tc});
   }
 }
 
@@ -223,7 +253,8 @@ int GesturePrintSystem::widen_users(std::uint64_t seed) {
 
 void GesturePrintSystem::fine_tune_user_heads(const Dataset& dataset,
                                               std::span<const std::size_t> indices,
-                                              std::size_t epochs, double lr) {
+                                              std::size_t epochs, double lr,
+                                              exec::ExecContext& ctx) {
   check(fitted(), "fine_tune_user_heads before fit");
   check_arg(!indices.empty(), "fine_tune_user_heads with no samples");
   check_arg(dataset.num_gestures() == num_gestures_ && dataset.num_users() == num_users_,
@@ -234,7 +265,9 @@ void GesturePrintSystem::fine_tune_user_heads(const Dataset& dataset,
   tc.lr = lr;
   tc.seed = rng_();
   tc.head_only = true;  // frozen trunk: the whole point of the enroll path
-  adapt_user_models(dataset, indices, tc);
+  std::vector<TrainJob> jobs;
+  add_user_adapt_jobs(dataset, indices, tc, jobs);
+  train_jobs(dataset, jobs, ctx);
 }
 
 void GesturePrintSystem::fuse_for_inference(nn::QuantMode mode) {

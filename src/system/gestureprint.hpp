@@ -96,14 +96,18 @@ class GesturePrintSystem {
   explicit GesturePrintSystem(GesturePrintConfig config = {});
 
   /// Trains recognition + identification models on the selected samples.
-  void fit(const Dataset& dataset, std::span<const std::size_t> train_indices);
+  /// The models are independent jobs and train concurrently on the lanes
+  /// of `ctx` (DESIGN.md §4); the saved bytes are those of a serial fit.
+  void fit(const Dataset& dataset, std::span<const std::size_t> train_indices,
+           exec::ExecContext& ctx = exec::ExecContext::global());
 
   /// Continues training the already-fitted models on additional samples —
   /// the §VII-2 mitigation: adapt to a new environment with a few local
   /// recordings instead of retraining from scratch. Label spaces must match
   /// the original fit.
   void fine_tune(const Dataset& dataset, std::span<const std::size_t> indices,
-                 std::size_t epochs, double lr = 5e-4);
+                 std::size_t epochs, double lr = 5e-4,
+                 exec::ExecContext& ctx = exec::ExecContext::global());
 
   /// Grows the user label space by one (gp::enroll): every user-ID model is
   /// replaced by its widened copy (GesIDNet::widen_head) — existing users'
@@ -117,7 +121,8 @@ class GesturePrintSystem {
   /// heads on replayed + newly-buffered samples. `dataset` must carry the
   /// (already widened) user label space; the gesture model is not trained.
   void fine_tune_user_heads(const Dataset& dataset, std::span<const std::size_t> indices,
-                            std::size_t epochs, double lr = 5e-4);
+                            std::size_t epochs, double lr = 5e-4,
+                            exec::ExecContext& ctx = exec::ExecContext::global());
 
   /// Persists every trained model (weights + batch-norm statistics). The
   /// file carries a whole-payload FNV-1a checksum trailer so bit rot is
@@ -173,10 +178,16 @@ class GesturePrintSystem {
   void fuse_for_inference(nn::QuantMode mode = nn::QuantMode::kOff);
 
  private:
-  /// fine_tune tail: trains each user-ID model on its share of `indices`,
-  /// one rng_ fork per trained model, in model order.
-  void adapt_user_models(const Dataset& dataset, std::span<const std::size_t> indices,
-                         const TrainConfig& tc);
+  /// One model's training run within a phase (defined in the .cpp).
+  struct TrainJob;
+  /// Runs prepare_subset + train_classifier for every job, longest first,
+  /// on min(ctx.threads(), ceil(total cost / longest cost)) lanes (cost =
+  /// training rows × epochs). Inline with one lane inside a region.
+  void train_jobs(const Dataset& dataset, std::vector<TrainJob>& jobs, exec::ExecContext& ctx);
+  /// fine_tune tail: one job per user-ID model that `indices` adapts, with
+  /// one rng_ fork each, in model order.
+  void add_user_adapt_jobs(const Dataset& dataset, std::span<const std::size_t> indices,
+                           const TrainConfig& tc, std::vector<TrainJob>& jobs);
 
   GesturePrintConfig config_;
   std::size_t num_gestures_ = 0;

@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "health/slo.hpp"
 #include "nn/tensor.hpp"
 #include "serve/server.hpp"
+#include "system/gestureprint.hpp"
 
 namespace gp {
 namespace {
@@ -350,6 +354,50 @@ TEST(Determinism, PredictLogitsShardsMatchSerial) {
   const nn::Tensor b = predict_logits(model, samples, /*batch_size=*/4, wide);
   ASSERT_EQ(a.rows(), samples.size());
   EXPECT_TRUE(a.vec() == b.vec());
+}
+
+// GesturePrintSystem trains each phase's independent models concurrently on
+// the lanes of its ExecContext. fit, fine_tune and the head-only fine-tune
+// must leave the .gpsy bytes of a one-lane run, in both identification
+// modes. At 8 threads the serialized fit runs 3 lanes (costs 108, 72, 72,
+// 72) and the parallel fit 2. The tsan lane races the concurrent training
+// (ctest determinism_fit_lanes), so the dataset and network stay tiny.
+TEST(Determinism, FitAndFineTuneAreLaneCountInvariant) {
+  exec::ExecContext serial(1);
+  exec::ExecContext wide(8);
+  const Dataset dataset = generate_dataset(small_spec(), serial);
+  const std::vector<std::size_t> idx = all_indices(dataset);
+  const std::string path = testing::TempDir() + "gp_determinism_fit_lanes.gpsy";
+  const auto saved_bytes = [&](GesturePrintSystem& system) {
+    system.save(path);
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+
+  for (const IdentificationMode mode :
+       {IdentificationMode::kSerialized, IdentificationMode::kParallel}) {
+    GesturePrintConfig config;
+    config.network = tiny_config();
+    config.training.epochs = 2;
+    config.training.batch_size = 6;
+    config.mode = mode;
+    const auto run = [&](exec::ExecContext& ctx) {
+      GesturePrintSystem system(config);
+      system.fit(dataset, idx, ctx);
+      std::string fitted = saved_bytes(system);
+      system.fine_tune(dataset, idx, /*epochs=*/1, 5e-4, ctx);
+      system.fine_tune_user_heads(dataset, idx, /*epochs=*/1, 5e-4, ctx);
+      return std::make_pair(std::move(fitted), saved_bytes(system));
+    };
+    const auto [fit_1, tuned_1] = run(serial);
+    const auto [fit_8, tuned_8] = run(wide);
+    const char* name = mode == IdentificationMode::kSerialized ? "serialized" : "parallel";
+    EXPECT_TRUE(fit_1 == fit_8) << name << ": fit bytes depend on the lane count";
+    EXPECT_TRUE(tuned_1 == tuned_8) << name << ": fine-tuned bytes depend on the lane count";
+    EXPECT_FALSE(fit_1 == tuned_1) << name << ": fine-tuning changed nothing";
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "datasets/catalog.hpp"
 #include "eval/splits.hpp"
 #include "exec/exec.hpp"
+#include "gesidnet/trainer.hpp"
 #include "nn/quant.hpp"
 #include "nn/tensor.hpp"
 #include "pipeline/preprocessor.hpp"
@@ -151,6 +152,47 @@ TEST(MemDeathTest, AssertNoAllocAbortsOnAllocation) {
         delete[] raw;
       },
       "GP_ASSERT_NO_ALLOC violated in 'hot-scope'");
+}
+
+// ------------------------------------------------------- training caches
+
+// A trained model keeps its weights, gradients and batch-norm statistics,
+// not the last step's backward caches: train_classifier ends with
+// release_caches(). Counted on a second fresh model, so lazily built
+// statics (metric handles, workspace type ids) are already warm. The only
+// allocations training leaves behind are the two AttentionFusion per-row
+// weight vectors that mean_resized_weight() reads; without the fusion
+// module nothing is left.
+TEST(Mem, TrainingLeavesNoBackwardCaches) {
+  DatasetScale scale;
+  scale.max_users = 3;
+  scale.reps = 2;
+  DatasetSpec spec = gestureprint_spec(0, scale);
+  spec.gestures.resize(3);
+  exec::ExecContext serial(1);
+  const Dataset dataset = generate_dataset(spec, serial);
+  Rng prep_rng(5);
+  const LabeledSamples data = prepare_subset(dataset, all_indices(dataset), LabelKind::kGesture,
+                                             PrepConfig{}, prep_rng);
+  TrainConfig tc;
+  tc.epochs = 1;
+  tc.batch_size = 6;
+  for (const bool fusion : {true, false}) {
+    GesIDNetConfig net;
+    net.num_classes = dataset.num_gestures();
+    net.enable_fusion = fusion;
+
+    Rng warm_rng(1);
+    GesIDNet warm(net, warm_rng);
+    train_classifier(warm, data, tc, serial);
+
+    Rng rng(2);
+    GesIDNet model(net, rng);
+    const mem::AllocCounter counter;
+    train_classifier(model, data, tc, serial);
+    EXPECT_EQ(counter.allocations() - counter.frees(), fusion ? 2u : 0u)
+        << "fusion " << (fusion ? "on" : "off");
+  }
 }
 
 // ------------------------------------------------------------ shared world
